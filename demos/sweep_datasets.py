@@ -13,7 +13,7 @@ PRESETS = ("fig3", "fig4", "fig5")
 def main():
     for name in PRESETS:
         spec = figure_spec(name)
-        table = run_sweep(spec, jobs=4)
+        table = run_sweep(spec)
         path = f"{name}_rates.csv"
         with open(path, "wb") as handle:
             handle.write(emit(table, "csv"))

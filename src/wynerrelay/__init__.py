@@ -30,7 +30,7 @@ from .af import (AfGainSolution, MonteCarloPower, RING_CELLS, af_rate,
 from .cf import CfSolution, cf_rate_limits, cf_solve
 from .sweep import (AXES, ORACLE_RING, SCHEME_ORDER, SchemeError, SweepSpec,
                     SweepTable, axis_values, canonical_schemes, config_at,
-                    emit, figure_spec, oracle_entries, run_point, run_sweep)
+                    emit, figure_spec, run_point, run_sweep)
 
 __version__ = PACKAGE_VERSION
 
@@ -45,7 +45,7 @@ __all__ = [
     "channel_response", "config_at", "config_to_mapping", "db_to_linear",
     "emit", "figure_spec", "integrate_periodic", "integrate_periodic_report",
     "linear_to_db", "load_config", "load_mapping", "optimal_gain",
-    "oracle_entries", "parse_config", "rate_mcp", "rate_mcp_finite",
-    "relay_output_power", "run_point", "run_sweep", "simulate_relay_power",
-    "uniform_grid", "upper_bound", "waterfill",
+    "parse_config", "rate_mcp", "rate_mcp_finite", "relay_output_power",
+    "run_point", "run_sweep", "simulate_relay_power", "uniform_grid",
+    "upper_bound", "waterfill",
 ]

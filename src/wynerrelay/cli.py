@@ -18,7 +18,7 @@ from .model import (ConfigError, QuadratureConfig, DEFAULT_CONFIG_MAPPING,
                     parse_config)
 from .numerics import BracketError, ConvergenceError
 from .sweep import (AXES, SCHEME_ORDER, SchemeError, SweepSpec, canonical_schemes,
-                    emit, figure_spec, oracle_entries, run_point, run_sweep)
+                    emit, figure_spec, run_metadata, run_point, run_sweep)
 
 _FIGURES = ("fig3", "fig4", "fig5")
 _LINEAR_OVERRIDES = ("alpha", "beta", "gamma", "eta", "mu", "noise1", "noise2")
@@ -60,7 +60,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--seed", type=int, default=1234, metavar="U64",
                      help="seed for the Monte Carlo oracle (default 1234)")
     run.add_argument("--jobs", type=int, default=1, metavar="N",
-                     help="parallel workers for sweeps (default 1)")
+                     help="accepted for compatibility; points run serially "
+                          "(default 1)")
     run.add_argument("--verbose", action="store_true",
                      help="include solver diagnostics in the output")
     run.add_argument("--oracle", action="store_true",
@@ -138,33 +139,19 @@ def _check_run_args(args) -> None:
         raise ConfigError(f"--seed must fit in an unsigned 64-bit value, got {args.seed}")
 
 
-def _metadata(config, quadrature, args) -> dict:
-    entry = {
-        "config": config_to_mapping(config),
-        "quadrature": {
-            "initial_points": quadrature.initial_points,
-            "max_points": quadrature.max_points,
-            "rel_tol": quadrature.rel_tol,
-        },
-        "version": PACKAGE_VERSION,
-    }
-    if args.oracle:
-        entry["oracle_seed"] = args.seed
-    return entry
-
-
 def _run_rate(args) -> bytes:
     config = _config_from_args(args)
     quadrature = _quadrature_from_args(args)
-    schemes = _schemes_from_args(args)
-    point = run_point(config, schemes, quadrature, diagnostics=args.verbose)
-    if args.oracle:
-        point.update(oracle_entries(config, schemes, quadrature, args.seed, 0))
+    point = run_point(config, _schemes_from_args(args), quadrature,
+                      diagnostics=args.verbose,
+                      oracle_seed=[args.seed, 0] if args.oracle else None)
     if args.format == "csv":
         lines = ["quantity,value"]
         lines += [f"{name},{value:.12g}" for name, value in point.items()]
         return ("\n".join(lines) + "\n").encode("ascii")
-    document = {"metadata": _metadata(config, quadrature, args), "rates": point}
+    metadata = {"config": config_to_mapping(config),
+                **run_metadata(quadrature, args.seed if args.oracle else None)}
+    document = {"metadata": metadata, "rates": point}
     return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
@@ -174,7 +161,7 @@ def _run_sweep(args) -> bytes:
     spec = SweepSpec(axis=args.axis, start=args.start, stop=args.stop,
                      points=args.points, base=config,
                      schemes=_schemes_from_args(args))
-    table = run_sweep(spec, quadrature, jobs=args.jobs, diagnostics=args.verbose,
+    table = run_sweep(spec, quadrature, diagnostics=args.verbose,
                       oracle=args.oracle, seed=args.seed)
     return emit(table, args.format)
 
@@ -186,7 +173,7 @@ def _run_figure(args) -> bytes:
     if args.schemes is not None:
         spec = replace(spec, schemes=_schemes_from_args(args))
     quadrature = _quadrature_from_args(args)
-    table = run_sweep(spec, quadrature, jobs=args.jobs, diagnostics=args.verbose,
+    table = run_sweep(spec, quadrature, diagnostics=args.verbose,
                       oracle=args.oracle, seed=args.seed)
     return emit(table, args.format)
 

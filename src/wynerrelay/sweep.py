@@ -1,17 +1,19 @@
 """Parameter sweeps over the rate schemes, with stable tabular output.
 
-A sweep varies one quantity along a uniform grid, evaluates the selected
-schemes at every grid point, and collects the results into a table whose
-serialized form is byte-stable: the same sweep emits identical bytes
-regardless of worker count or scheme order given by the caller.
+Each rate scheme is defined once, in the `SCHEMES` table. A sweep varies
+one quantity along a uniform grid, evaluates the selected schemes at
+every grid point, and collects the results into a table whose serialized
+form is byte-stable: the same sweep emits identical bytes regardless of
+the scheme order given by the caller.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .af import af_rate, af_rate_finite, optimal_gain, relay_output_power, \
@@ -21,9 +23,8 @@ from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
                     _require_finite)
-from .wyner import rate_mcp, rate_mcp_finite, upper_bound, waterfill
+from .wyner import rate_mcp_finite, upper_bound, waterfill
 
-SCHEME_ORDER = ("cf", "af", "af_mu0", "upper_bound")
 AXES = ("mu", "power_p", "power_q", "rho1_db", "rho2_db")
 
 # Ring size for the finite-model cross-check columns behind --oracle.
@@ -34,14 +35,87 @@ class SchemeError(RuntimeError):
     """A scheme computation failed; the message names the scheme."""
 
 
+@contextmanager
+def _oracle():
+    """Tell a failed cross-check apart from a failed scheme solve."""
+    try:
+        yield
+    except (ValueError, ArithmeticError) as exc:
+        raise SchemeError(f"oracle: {exc}") from exc
+
+
+def _against(name: str, finite: float, value: float) -> dict:
+    """A finite-ring cross-check column and its signed gap to the value."""
+    return {f"{name}_oracle": finite, f"{name}_oracle_delta": finite - value}
+
+
+# One function per scheme. Each runs its solve once and returns the rate,
+# its --verbose diagnostics and, given an oracle seed, its cross-check
+# columns built from that same solve. The layer functions are looked up
+# through this module's names at call time, so they can be wrapped.
+
+def _cf(config: SystemConfig, quadrature: QuadratureConfig, seed):
+    solution = cf_solve(config, quadrature)
+    notes = {"cf_r_star": solution.r_star, "cf_residual": solution.residual}
+    if seed is None:
+        return solution.rate, notes, {}
+    with _oracle():
+        quantized = config.rho1 * (1.0 - 2.0 ** (-solution.r_star))
+        finite = rate_mcp_finite(config.first_lag, quantized, ORACLE_RING)
+    return solution.rate, notes, _against("cf", finite, solution.rate)
+
+
+def _af(config: SystemConfig, quadrature: QuadratureConfig, seed):
+    gain = optimal_gain(config)
+    rate = af_rate(config, gain.gain, quadrature)
+    notes = {"af_gain": gain.gain, "af_power_residual": gain.residual}
+    if seed is None:
+        return rate, notes, {}
+    with _oracle():
+        finite = af_rate_finite(config, gain.gain, ORACLE_RING)
+        simulated = simulate_relay_power(config, gain.gain, seed=seed)
+        power = relay_output_power(gain.gain, config)
+    return rate, notes, {**_against("af", finite, rate),
+                         "af_sim_power": simulated.mean_power,
+                         "af_sim_se": simulated.std_error,
+                         "af_sim_delta": simulated.mean_power - power}
+
+
+def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, seed):
+    quiet = replace(config, mu=0.0)
+    gain = optimal_gain(quiet)
+    rate = af_rate(quiet, gain.gain, quadrature)
+    notes = {"af_mu0_gain": gain.gain}
+    if seed is None:
+        return rate, notes, {}
+    with _oracle():
+        finite = af_rate_finite(quiet, gain.gain, ORACLE_RING)
+    return rate, notes, _against("af_mu0", finite, rate)
+
+
+def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, seed):
+    bound = upper_bound(config, quadrature)
+    if seed is None:
+        return bound, {}, {}
+    with _oracle():
+        uplink = rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING)
+        downlink = waterfill(config.second_lag, config.rho2, quadrature).rate
+    return bound, {}, _against("upper_bound", min(uplink, downlink), bound)
+
+
+# The registry, in canonical order: columns follow this order.
+SCHEMES = {"cf": _cf, "af": _af, "af_mu0": _af_mu0, "upper_bound": _upper_bound}
+SCHEME_ORDER = tuple(SCHEMES)
+
+
 def canonical_schemes(schemes) -> tuple:
     requested = set(schemes)
-    unknown = sorted(requested - set(SCHEME_ORDER))
+    unknown = sorted(requested - SCHEMES.keys())
     if unknown:
         raise ConfigError(f"unknown scheme(s): {', '.join(map(str, unknown))}")
     if not requested:
         raise ConfigError("at least one scheme is required")
-    return tuple(name for name in SCHEME_ORDER if name in requested)
+    return tuple(name for name in SCHEMES if name in requested)
 
 
 @dataclass(frozen=True)
@@ -92,83 +166,39 @@ def config_at(spec: SweepSpec, value: float) -> SystemConfig:
 
 def run_point(config: SystemConfig, schemes,
               quadrature: QuadratureConfig = DEFAULT_QUADRATURE, *,
-              diagnostics: bool = False) -> dict:
-    """Evaluate the selected schemes at one operating point.
+              diagnostics: bool = False, oracle_seed=None) -> dict:
+    """Evaluate and check the selected schemes at one operating point.
 
-    Returns a name-to-value map in canonical scheme order; with
+    Returns a name-to-value map: the scheme rates in canonical order; with
     diagnostics, solver internals (fixed-point location, relay gain,
-    residuals) follow the scheme columns.
+    residuals); with an oracle seed (the Monte Carlo simulator's entropy),
+    finite-ring and Monte Carlo cross-checks, each with its signed gap to
+    the reported value. Every returned value must be finite, every rate
+    non-negative and, when `upper_bound` is selected, no rate above it;
+    a failure raises SchemeError naming the scheme.
     """
-    schemes = canonical_schemes(schemes)
-    rates = {}
-    extras = {}
-    for name in schemes:
+    rates, notes, checks = {}, {}, {}
+    for name in canonical_schemes(schemes):
         try:
-            if name == "cf":
-                solution = cf_solve(config, quadrature)
-                rates[name] = solution.rate
-                extras["cf_r_star"] = solution.r_star
-                extras["cf_residual"] = solution.residual
-            elif name == "af":
-                gain = optimal_gain(config)
-                rates[name] = af_rate(config, gain.gain, quadrature)
-                extras["af_gain"] = gain.gain
-                extras["af_power_residual"] = gain.residual
-            elif name == "af_mu0":
-                quiet = replace(config, mu=0.0)
-                gain = optimal_gain(quiet)
-                rates[name] = af_rate(quiet, gain.gain, quadrature)
-                extras["af_mu0_gain"] = gain.gain
-            else:
-                rates[name] = upper_bound(config, quadrature)
-        except (ValueError, ArithmeticError) as exc:
+            rate, extras, oracle = SCHEMES[name](config, quadrature, oracle_seed)
+        except (ValueError, ArithmeticError, SchemeError) as exc:
             raise SchemeError(f"{name}: {exc}") from exc
-    if diagnostics:
-        rates.update(extras)
-    return rates
-
-
-def oracle_entries(config: SystemConfig, schemes, quadrature: QuadratureConfig,
-                   seed, index: int) -> dict:
-    """Finite-ring and Monte Carlo cross-checks for the selected schemes.
-
-    Every cross-check column comes with the signed gap to the value the
-    sweep reports, so disagreement is visible in the table itself.
-    """
-    schemes = canonical_schemes(schemes)
-    entries = {}
-    try:
-        if "cf" in schemes:
-            solution = cf_solve(config, quadrature)
-            quantized = config.rho1 * (1.0 - 2.0 ** (-solution.r_star))
-            finite = rate_mcp_finite(config.first_lag, quantized, ORACLE_RING)
-            entries["cf_oracle"] = finite
-            entries["cf_oracle_delta"] = finite - solution.rate
-        if "af" in schemes:
-            gain = optimal_gain(config)
-            finite = af_rate_finite(config, gain.gain, ORACLE_RING)
-            entries["af_oracle"] = finite
-            entries["af_oracle_delta"] = finite - af_rate(config, gain.gain, quadrature)
-            simulated = simulate_relay_power(config, gain.gain, seed=[seed, index])
-            entries["af_sim_power"] = simulated.mean_power
-            entries["af_sim_se"] = simulated.std_error
-            entries["af_sim_delta"] = (simulated.mean_power
-                                       - relay_output_power(gain.gain, config))
-        if "af_mu0" in schemes:
-            quiet = replace(config, mu=0.0)
-            gain = optimal_gain(quiet)
-            finite = af_rate_finite(quiet, gain.gain, ORACLE_RING)
-            entries["af_mu0_oracle"] = finite
-            entries["af_mu0_oracle_delta"] = finite - af_rate(quiet, gain.gain, quadrature)
-        if "upper_bound" in schemes:
-            uplink = rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING)
-            downlink = waterfill(config.second_lag, config.rho2, quadrature).rate
-            finite = min(uplink, downlink)
-            entries["upper_bound_oracle"] = finite
-            entries["upper_bound_oracle_delta"] = finite - upper_bound(config, quadrature)
-    except (ValueError, ArithmeticError) as exc:
-        raise SchemeError(f"oracle: {exc}") from exc
-    return entries
+        if not diagnostics:
+            extras = {}
+        for column, value in {name: rate, **extras, **oracle}.items():
+            if not math.isfinite(value):
+                raise SchemeError(
+                    f"{name}: column {column} holds a non-finite value: {value!r}")
+        if rate < 0.0:
+            raise SchemeError(f"{name}: rate went negative: {rate}")
+        rates[name] = rate
+        notes.update(extras)
+        checks.update(oracle)
+    bound = rates.get("upper_bound", math.inf)
+    for name, rate in rates.items():
+        if rate > bound:
+            raise SchemeError(f"{name}: rate {rate} exceeds its upper bound {bound}")
+    return {**rates, **notes, **checks}
 
 
 @dataclass(frozen=True)
@@ -181,49 +211,29 @@ class SweepTable:
     metadata: dict = field(default_factory=dict)
 
 
-def _validate_table(table: SweepTable, schemes) -> None:
-    points = len(table.axis_values)
-    for name, column in table.columns.items():
-        if len(column) != points:
-            raise SchemeError(
-                f"column {name} has {len(column)} values for {points} points")
-        for value in column:
-            if not math.isfinite(value):
-                raise SchemeError(f"column {name} holds a non-finite value: {value!r}")
-        if name in SCHEME_ORDER and min(column) < 0.0:
-            raise SchemeError(f"scheme column {name} went negative: {min(column)}")
-    if "cf" in schemes and "upper_bound" in schemes:
-        for cf_value, bound in zip(table.columns["cf"], table.columns["upper_bound"]):
-            if cf_value > bound:
-                raise SchemeError(
-                    f"cf column {cf_value} exceeds its upper bound {bound}")
+def run_metadata(quadrature: QuadratureConfig, oracle_seed=None) -> dict:
+    """The JSON metadata shared by every command: quadrature, version, oracle."""
+    metadata = {"quadrature": dataclasses.asdict(quadrature),
+                "version": PACKAGE_VERSION}
+    if oracle_seed is not None:
+        metadata["oracle_seed"] = oracle_seed
+        metadata["oracle_ring_cells"] = ORACLE_RING
+    return metadata
 
 
 def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-              *, jobs: int = 1, diagnostics: bool = False, oracle: bool = False,
+              *, diagnostics: bool = False, oracle: bool = False,
               seed: int = 1234) -> SweepTable:
-    """Evaluate the sweep, optionally across threads; output order is grid order."""
-    if jobs < 1:
-        raise ConfigError(f"jobs must be at least 1, got {jobs}")
+    """Evaluate the sweep point by point, in grid order."""
     values = axis_values(spec)
-    configs = [config_at(spec, value) for value in values]
-
-    def evaluate(index: int) -> dict:
+    results = []
+    for index, value in enumerate(values):
         try:
-            point = run_point(configs[index], spec.schemes, quadrature,
-                              diagnostics=diagnostics)
-            if oracle:
-                point.update(oracle_entries(configs[index], spec.schemes,
-                                            quadrature, seed, index))
-            return point
+            results.append(run_point(config_at(spec, value), spec.schemes, quadrature,
+                                     diagnostics=diagnostics,
+                                     oracle_seed=[seed, index] if oracle else None))
         except SchemeError as exc:
-            raise SchemeError(f"at {spec.axis} = {values[index]:.12g}: {exc}") from exc
-
-    if jobs == 1:
-        results = [evaluate(index) for index in range(spec.points)]
-    else:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(evaluate, range(spec.points)))
+            raise SchemeError(f"at {spec.axis} = {value:.12g}: {exc}") from exc
 
     columns = {name: tuple(point[name] for point in results) for name in results[0]}
     metadata = {
@@ -233,20 +243,10 @@ def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
         "points": spec.points,
         "schemes": list(spec.schemes),
         "base_config": config_to_mapping(spec.base),
-        "quadrature": {
-            "initial_points": quadrature.initial_points,
-            "max_points": quadrature.max_points,
-            "rel_tol": quadrature.rel_tol,
-        },
-        "version": PACKAGE_VERSION,
+        **run_metadata(quadrature, seed if oracle else None),
     }
-    if oracle:
-        metadata["oracle_seed"] = seed
-        metadata["oracle_ring_cells"] = ORACLE_RING
-    table = SweepTable(axis=spec.axis, axis_values=tuple(values),
-                       columns=columns, metadata=metadata)
-    _validate_table(table, spec.schemes)
-    return table
+    return SweepTable(axis=spec.axis, axis_values=tuple(values),
+                      columns=columns, metadata=metadata)
 
 
 def emit(table: SweepTable, format: str = "csv") -> bytes:

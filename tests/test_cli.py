@@ -1,5 +1,6 @@
 """Command-line front end: parsing, exit codes, byte-exact output."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -10,10 +11,21 @@ from pathlib import Path
 import pytest
 
 import wynerrelay
+import wynerrelay.sweep
 from wynerrelay import PACKAGE_VERSION
 from wynerrelay.cli import main
 
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
+ALL_SCHEMES_REVERSED = "upper_bound,af_mu0,af,cf"
+# Scheme values, then diagnostics, then cross-checks, each in scheme order.
+VERBOSE_ORACLE_COLUMNS = [
+    "cf", "af", "af_mu0", "upper_bound",
+    "cf_r_star", "cf_residual", "af_gain", "af_power_residual", "af_mu0_gain",
+    "cf_oracle", "cf_oracle_delta", "af_oracle", "af_oracle_delta",
+    "af_sim_power", "af_sim_se", "af_sim_delta",
+    "af_mu0_oracle", "af_mu0_oracle_delta",
+    "upper_bound_oracle", "upper_bound_oracle_delta",
+]
 
 
 class TestRateCommand:
@@ -48,6 +60,27 @@ class TestRateCommand:
         assert main(["rate", "--schemes", "cf,bogus"]) == 1
         assert "bogus" in capfd.readouterr().err
 
+    def test_verbose_oracle_column_order(self, capfd, quick_simulator):
+        assert main(["rate", "--verbose", "--oracle", "--schemes",
+                     ALL_SCHEMES_REVERSED, *FIG3_FLAGS]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert [line.split(",")[0] for line in lines] == [
+            "quantity", *VERBOSE_ORACLE_COLUMNS]
+
+    def test_oracle_json_metadata(self, capfd):
+        assert main(["rate", "--oracle", "--format", "json", "--schemes", "cf",
+                     *FIG3_FLAGS]) == 0
+        metadata = json.loads(capfd.readouterr().out)["metadata"]
+        assert metadata["oracle_seed"] == 1234
+        assert metadata["oracle_ring_cells"] == 4096
+
+    def test_rate_above_upper_bound_is_numerical_failure(self, monkeypatch, capfd):
+        solve = wynerrelay.sweep.cf_solve
+        monkeypatch.setattr(wynerrelay.sweep, "cf_solve",
+                            lambda *args: dataclasses.replace(solve(*args), rate=1e3))
+        assert main(["rate", "--schemes", "cf,upper_bound", *FIG3_FLAGS]) == 2
+        assert "error: cf: rate 1000.0 exceeds" in capfd.readouterr().err
+
 
 class TestSweepCommand:
     def test_small_sweep(self, capfd):
@@ -57,6 +90,14 @@ class TestSweepCommand:
         lines = capfd.readouterr().out.splitlines()
         assert lines[0] == "axis,cf,upper_bound"
         assert len(lines) == 4
+
+    def test_verbose_oracle_column_order(self, capfd, quick_simulator):
+        code = main(["sweep", "--axis", "mu", "--start", "0", "--stop", "0.4",
+                     "--points", "2", "--verbose", "--oracle",
+                     "--schemes", ALL_SCHEMES_REVERSED])
+        assert code == 0
+        header = capfd.readouterr().out.splitlines()[0]
+        assert header.split(",") == ["axis", *VERBOSE_ORACLE_COLUMNS]
 
     def test_missing_axis_is_usage_error(self, capfd):
         assert main(["sweep", "--start", "0", "--stop", "1", "--points", "3"]) == 1

@@ -1,0 +1,19 @@
+"""Every script in demos/ runs to completion."""
+
+import runpy
+from pathlib import Path
+
+import pytest
+
+DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+
+
+def test_demos_found():
+    assert DEMOS
+
+
+@pytest.mark.parametrize("script", DEMOS, ids=lambda path: path.name)
+def test_demo_runs(script, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(script), run_name="__main__")
+    assert capsys.readouterr().out

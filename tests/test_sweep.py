@@ -1,12 +1,14 @@
 """Sweep planning, execution, serialization, and figure presets."""
 
+import collections
 import dataclasses
 import json
-import math
 
 import pytest
 
+import wynerrelay.sweep
 from wynerrelay import (
+    SCHEME_ORDER,
     ConfigError,
     QuadratureConfig,
     SchemeError,
@@ -132,6 +134,26 @@ class TestRunPoint:
         with pytest.raises(SchemeError, match="upper_bound"):
             run_point(base_config(eta=0.6), ("upper_bound",), tiny)
 
+    def test_oracle_failure_names_scheme(self, monkeypatch):
+        def diverged(*args):
+            raise ArithmeticError("ring diverged")
+
+        monkeypatch.setattr(wynerrelay.sweep, "af_rate_finite", diverged)
+        assert run_point(base_config(), ("af_mu0",))["af_mu0"] > 0.0
+        with pytest.raises(SchemeError, match="^af_mu0: oracle: ring diverged$"):
+            run_point(base_config(), ("af_mu0",), oracle_seed=[1, 0])
+
+    def test_rates_checked_against_upper_bound(self, monkeypatch):
+        monkeypatch.setattr(wynerrelay.sweep, "af_rate", lambda *args: 1e3)
+        assert run_point(base_config(), ("af",)) == {"af": 1e3}
+        with pytest.raises(SchemeError, match="^af: rate 1000.0 exceeds"):
+            run_point(base_config(), ("cf", "af", "upper_bound"))
+
+    def test_non_finite_value_is_refused(self, monkeypatch):
+        monkeypatch.setattr(wynerrelay.sweep, "upper_bound", lambda *args: float("nan"))
+        with pytest.raises(SchemeError, match="^upper_bound: column upper_bound"):
+            run_point(base_config(), ("upper_bound",))
+
 
 class TestRunSweep:
     def test_row_order_follows_axis(self):
@@ -154,22 +176,12 @@ class TestRunSweep:
             stitched = left.columns[name] + right.columns[name][1:]
             assert stitched == full.columns[name]
 
-    def test_parallel_matches_serial(self):
-        spec = small_spec(points=5, schemes=("cf", "af", "upper_bound"))
-        serial = run_sweep(spec, jobs=1)
-        parallel = run_sweep(spec, jobs=4)
-        assert serial == parallel
-
     def test_failure_reports_axis_value(self):
         tiny = QuadratureConfig(initial_points=8, max_points=8)
         spec = small_spec(axis="power_q", start=1.0, stop=2.0,
                           base=base_config(eta=0.6))
         with pytest.raises(SchemeError, match="power_q = 1"):
             run_sweep(spec, tiny)
-
-    def test_rejects_bad_jobs(self):
-        with pytest.raises(ConfigError):
-            run_sweep(small_spec(), jobs=0)
 
     def test_metadata_records_run(self):
         table = run_sweep(small_spec())
@@ -185,6 +197,23 @@ class TestRunSweep:
         for point in range(2):
             assert table.columns["cf_oracle_delta"][point] == pytest.approx(0.0, abs=1e-6)
         assert table.metadata["oracle_seed"] == 5
+
+    def test_oracle_reuses_each_solve(self, monkeypatch, quick_simulator):
+        calls = collections.Counter()
+
+        def counted(name, function):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return function(*args, **kwargs)
+            return wrapper
+
+        for name in ("cf_solve", "optimal_gain", "af_rate", "upper_bound"):
+            monkeypatch.setattr(wynerrelay.sweep, name,
+                                counted(name, getattr(wynerrelay.sweep, name)))
+        table = run_sweep(small_spec(points=2, schemes=SCHEME_ORDER), oracle=True)
+        assert "af_sim_power" in table.columns
+        assert calls == {"cf_solve": 2, "optimal_gain": 4, "af_rate": 4,
+                         "upper_bound": 2}
 
 
 class TestEmit:
