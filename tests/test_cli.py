@@ -12,7 +12,7 @@ import pytest
 
 import wynerrelay
 import wynerrelay.sweep
-from wynerrelay import PACKAGE_VERSION
+from wynerrelay import PACKAGE_VERSION, LagGains, rate_mcp
 from wynerrelay.cli import main
 
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
@@ -73,6 +73,28 @@ class TestRateCommand:
         metadata = json.loads(capfd.readouterr().out)["metadata"]
         assert metadata["oracle_seed"] == 1234
         assert metadata["oracle_ring_cells"] == 4096
+
+    def test_degenerate_configs_return_their_limit(self, tmp_path, capfd):
+        # Silent relays, and relays with no gain toward any base station,
+        # carry nothing: every scheme and the bound are 0.
+        path = tmp_path / "silent.json"
+        path.write_text(json.dumps({
+            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
+            "power_p": 10.0, "power_q": 0.0, "noise1": 1.0, "noise2": 1.0,
+        }))
+        for flags in (["--config", str(path)], ["--gamma", "0", "--eta", "0"]):
+            assert main(["rate", "--format", "json", "--schemes",
+                         ALL_SCHEMES_REVERSED, *flags]) == 0
+            rates = json.loads(capfd.readouterr().out)["rates"]
+            assert rates == {"cf": 0.0, "af": 0.0, "af_mu0": 0.0, "upper_bound": 0.0}
+
+    def test_cf_at_extreme_relay_snr(self, capfd):
+        # The second hop is far stronger than the first, so CF reaches the
+        # first hop's rate at P = 10 dB.
+        assert main(["rate", "--eta", "3", "--Q-dB", "120", "--schemes", "cf",
+                     "--format", "json"]) == 0
+        cf = json.loads(capfd.readouterr().out)["rates"]["cf"]
+        assert cf == pytest.approx(rate_mcp(LagGains(local=1.0, cross=0.2), 10.0), abs=1e-9)
 
     def test_rate_above_upper_bound_is_numerical_failure(self, monkeypatch, capfd):
         solve = wynerrelay.sweep.cf_solve

@@ -7,6 +7,7 @@ import json
 import pytest
 
 import wynerrelay.sweep
+import wynerrelay.wyner
 from wynerrelay import (
     SCHEME_ORDER,
     ConfigError,
@@ -210,10 +211,14 @@ class TestRunSweep:
         for name in ("cf_solve", "optimal_gain", "af_rate", "upper_bound"):
             monkeypatch.setattr(wynerrelay.sweep, name,
                                 counted(name, getattr(wynerrelay.sweep, name)))
+        # Count waterfill through every module name that can reach it.
+        waterfill = counted("waterfill", wynerrelay.wyner.waterfill)
+        monkeypatch.setattr(wynerrelay.wyner, "waterfill", waterfill)
+        monkeypatch.setattr(wynerrelay.sweep, "waterfill", waterfill, raising=False)
         table = run_sweep(small_spec(points=2, schemes=SCHEME_ORDER), oracle=True)
         assert "af_sim_power" in table.columns
         assert calls == {"cf_solve": 2, "optimal_gain": 4, "af_rate": 4,
-                         "upper_bound": 2}
+                         "upper_bound": 2, "waterfill": 2}
 
 
 class TestEmit:

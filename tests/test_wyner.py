@@ -5,10 +5,12 @@ import math
 import numpy as np
 import pytest
 
+import wynerrelay.wyner
 from wynerrelay import (
     BracketError,
     LagGains,
     QuadratureConfig,
+    cf_solve,
     channel_response,
     integrate_periodic,
     parse_config,
@@ -94,6 +96,47 @@ class TestRateMcp:
             rate_mcp(lag, 10.0, TIGHT), rel=1e-10
         )
 
+    def test_matches_quadrature(self):
+        for a in (0.0, 0.3, 1.0, 2.0):
+            for b in (0.0, 0.1, 0.5, 1.0, 3.0):
+                lag = LagGains(local=a, cross=b)
+                for rho in np.logspace(-6.0, 8.0, 15):
+                    reference = integrate_periodic(
+                        lambda f: np.log1p(rho * channel_response(lag, f) ** 2)
+                        / math.log(2.0), TIGHT)
+                    assert rate_mcp(lag, rho) == pytest.approx(
+                        reference, rel=1e-13, abs=0.0), (a, b, rho)
+
+    def test_low_snr_limit(self):
+        # log2(1 + x) = x / ln 2 to first order, and the mean of H^2 is
+        # a^2 + 2b^2; forms that square the discriminant return 0 here.
+        for a, b in ((1.0, 0.2), (0.0, 0.5), (2.0, 1.0), (0.3, 3.0)):
+            rate = rate_mcp(LagGains(local=a, cross=b), 1e-300)
+            assert rate == pytest.approx(1e-300 * (a * a + 2.0 * b * b) / math.log(2.0),
+                                         rel=1e-12, abs=0.0)
+
+    def test_double_null_at_high_snr(self):
+        # At a = 2b the discriminant c^2 + 4*rho*b^2 cancels to 1 + 2i*sqrt(rho)*a;
+        # the reference evaluates the unfactored form at 80 digits.
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(80):
+            rho = mpmath.mpf("1e35")
+            c = mpmath.mpc(1, 2 * mpmath.sqrt(rho))
+            root = mpmath.sqrt(c * c + 4 * rho)
+            expected = float(2 * mpmath.log(max(abs(c + root), abs(c - root)) / 2, 2))
+        rate = rate_mcp(LagGains(local=2.0, cross=1.0), 1e35)
+        assert rate == pytest.approx(expected, rel=1e-13, abs=0.0)
+
+    def test_cf_solve_needs_no_quadrature(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the CF path must not integrate numerically")
+
+        monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic", refuse)
+        config = parse_config({"alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2,
+                               "mu": 0.4, "power_p": 10.0, "power_q": 100.0,
+                               "noise1": 1.0, "noise2": 1.0})
+        assert cf_solve(config).rate > 0.0
+
 
 class TestRateMcpFinite:
     def test_flat_ring(self):
@@ -124,7 +167,11 @@ class TestRateMcpFinite:
         # ring average bit for bit: same samples, same reduction.
         lag = LagGains(local=1.0, cross=0.2)
         pinned = QuadratureConfig(initial_points=2048, max_points=4096, rel_tol=1e-10)
-        assert rate_mcp(lag, 10.0, pinned) == rate_mcp_finite(lag, 10.0, 4096)
+
+        def integrand(f):
+            return np.log1p(10.0 * np.square(channel_response(lag, f))) / math.log(2.0)
+
+        assert integrate_periodic(integrand, pinned) == rate_mcp_finite(lag, 10.0, 4096)
 
 
 class TestWaterfill:
