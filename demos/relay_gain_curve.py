@@ -1,9 +1,9 @@
 """How the relay output power pins down the amplification gain.
 
 Traces the steady-state relay output power as the gain approaches its
-stability limit 1/(2*mu), solves for the gain that exactly spends the
-power budget, and verifies the closed-form power against a Monte Carlo
-simulation of the actual relay ring.
+stability limit 1/(2*mu), takes the gain that exactly spends the power
+budget from the power law's closed-form root, and verifies the closed-form
+power against a Monte Carlo simulation of the actual relay ring.
 """
 
 from wynerrelay import (

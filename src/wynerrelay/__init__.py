@@ -5,7 +5,7 @@ the base stations only through a layer of relays:
 
 - the jointly processed uplink rate of a single hop, flat or waterfilled
   (`rate_mcp`, `waterfill`), with an exact finite-ring oracle
-  (`rate_mcp_finite`);
+  (`rate_mcp_finite`, `waterfill_finite`);
 - a two-hop upper bound (`upper_bound`);
 - the amplify-and-forward achievable rate with the relay gain solved to
   meet the power budget (`af_rate`, `optimal_gain`), validated by a ring
@@ -23,7 +23,7 @@ from .numerics import (BracketError, BracketedRoot, ConvergenceError,
                        bisect_monotone, integrate_periodic,
                        integrate_periodic_report, uniform_grid)
 from .wyner import (WaterfillSolution, channel_response, rate_mcp,
-                    rate_mcp_finite, upper_bound, waterfill)
+                    rate_mcp_finite, upper_bound, waterfill, waterfill_finite)
 from .af import (AfGainSolution, MonteCarloPower, RING_CELLS, af_rate,
                  af_rate_finite, optimal_gain, relay_output_power,
                  simulate_relay_power)
@@ -47,5 +47,5 @@ __all__ = [
     "linear_to_db", "load_config", "load_mapping", "optimal_gain",
     "parse_config", "rate_mcp", "rate_mcp_finite", "relay_output_power",
     "run_point", "run_sweep", "simulate_relay_power", "uniform_grid",
-    "upper_bound", "waterfill",
+    "upper_bound", "waterfill", "waterfill_finite",
 ]

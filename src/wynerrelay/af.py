@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE
-from .numerics import bisect_monotone, integrate_periodic, uniform_grid
+from .numerics import integrate_periodic, uniform_grid
 
 # The Monte Carlo oracle simulates a fixed ring: 64 cells, unit relay
 # delay, which is plenty for wrap effects to vanish at mu <= 0.8.
@@ -37,25 +37,32 @@ def _check_gain(gain, mu: float) -> float:
     return gain
 
 
+def _power_coefficients(config: SystemConfig):
+    """(A, B) = (P*beta^2 + noise1, 4*P*alpha^2) of the relay power law."""
+    return (config.power_p * config.beta ** 2 + config.noise1,
+            4.0 * config.power_p * config.alpha ** 2)
+
+
+def _buildup_power(gain: float, settle_root: float, config: SystemConfig) -> float:
+    """A*g^2/s + B*g^2/(s + s^2) at s = sqrt(1 - (2*mu*g)^2)."""
+    direct, adjacent = _power_coefficients(config)
+    return gain ** 2 * (direct + adjacent / (1.0 + settle_root)) / settle_root
+
+
 def relay_output_power(gain, config: SystemConfig) -> float:
     """Steady-state transmit power of one relay at amplification `gain`.
 
     The inter-relay echo acts as a spatial first-order feedback with
     per-mode coefficient 2*mu*g*cos(2*pi*f); averaging the resulting
-    geometric buildup over modes gives
+    geometric buildup over modes gives, with s = sqrt(1 - (2*mu*g)^2),
 
-        (P*beta^2 + noise1) * g^2 / sqrt(1 - (2*mu*g)^2)
-        + 4*P*alpha^2 * g^2 / (sqrt(1 - (2*mu*g)^2) + 1 - (2*mu*g)^2),
+        (P*beta^2 + noise1) * g^2 / s + 4*P*alpha^2 * g^2 / (s + s^2),
 
     strictly increasing in g and unbounded as g approaches 1/(2*mu).
     """
     gain = _check_gain(gain, config.mu)
     k = 2.0 * config.mu * gain
-    settle = (1.0 - k) * (1.0 + k)
-    root = math.sqrt(settle)
-    direct = (config.power_p * config.beta ** 2 + config.noise1) * gain ** 2 / root
-    adjacent = 4.0 * config.power_p * config.alpha ** 2 * gain ** 2 / (root + settle)
-    return direct + adjacent
+    return _buildup_power(gain, math.sqrt((1.0 - k) * (1.0 + k)), config)
 
 
 @dataclass(frozen=True)
@@ -67,27 +74,52 @@ class AfGainSolution:
     residual: float
 
 
+def _gain_root(config: SystemConfig):
+    """(g, s): the gain that spends exactly Q, and s = sqrt(1 - (2*mu*g)^2).
+
+    With g^2 = (1 - s^2)/(4*mu^2) the power law becomes A*u^2 - E*u + C = 0
+    in u = 1 - s, where A = P*beta^2 + noise1, B = 4*P*alpha^2,
+    C = 4*mu^2*Q and E = 2*A + B + C. Its stable root is
+    u = 2*C/(E + sqrt(D)), with D = E^2 - 4*A*C written as a sum of positive
+    terms, and g^2 = 2*Q*(2 - u)/(E + sqrt(D)), which at mu = 0 is
+    Q/(P*beta^2 + 2*P*alpha^2 + noise1). s is formed without cancellation,
+    since near the pole 2*mu*g -> 1 it cannot be recovered from g. A gain
+    that rounds onto 1/(2*mu) is taken as the largest double below it.
+    """
+    # A, B and C as (mantissa, exponent) pairs; C = 4*mu^2*Q is built from
+    # its factors' pairs so that it cannot overflow. All three are scaled
+    # by the even power of two 2^(2*half) set by the largest nonzero one.
+    mu_mantissa, mu_exponent = math.frexp(config.mu)
+    q_mantissa, q_exponent = math.frexp(config.power_q)
+    terms = (*map(math.frexp, _power_coefficients(config)),
+             (mu_mantissa ** 2 * q_mantissa, 2 * mu_exponent + q_exponent + 2))
+    half = (max(exponent for mantissa, exponent in terms if mantissa) + 1) // 2
+    a, b, c = (math.ldexp(mantissa, exponent - 2 * half) for mantissa, exponent in terms)
+    spread = 4.0 * a * a + b * (b + 4.0 * a + 2.0 * c)
+    root = math.sqrt(spread + c * c)
+    denominator = 2.0 * a + b + c + root
+    u = 2.0 * c / denominator
+    settle_root = (2.0 * a + b + spread / (root + c)) / denominator
+    gain = math.ldexp(math.sqrt(config.power_q) * math.sqrt(2.0 * (2.0 - u) / denominator),
+                      -half)
+    if 2.0 * config.mu * gain >= 1.0:
+        gain = math.nextafter(0.5 / config.mu, 0.0)
+    return gain, settle_root
+
+
 def optimal_gain(config: SystemConfig) -> AfGainSolution:
     """Gain at which the relays spend exactly their power budget.
 
-    Full power is rate-optimal for this scheme, so the solve targets
-    output power Q. Without inter-relay echo the power law is a plain
-    quadratic in g and the root is closed-form; otherwise the monotone
-    power curve is bisected inside its stable region.
+    Full power is rate-optimal for this scheme, so the gain targets output
+    power Q. The power law is a quadratic in s = sqrt(1 - (2*mu*g)^2), so
+    the root is closed-form (see `_gain_root`). The achieved power, and so
+    the residual, is evaluated at the root's own s rather than at g alone,
+    which near the pole is too ill-conditioned to check in double precision.
     """
-    target = config.power_q
-    if config.mu == 0.0:
-        scale = (config.power_p * config.beta ** 2
-                 + 2.0 * config.power_p * config.alpha ** 2 + config.noise1)
-        gain = math.sqrt(target / scale)
-    else:
-        ceiling = (1.0 - 1e-12) / (2.0 * config.mu)
-        root = bisect_monotone(lambda g: relay_output_power(g, config),
-                               0.0, ceiling, target=target, tol=1e-13)
-        gain = root.location
-    achieved = relay_output_power(gain, config)
+    gain, settle_root = _gain_root(config)
+    achieved = _buildup_power(gain, settle_root, config)
     return AfGainSolution(gain=gain, output_power=achieved,
-                          residual=achieved - target)
+                          residual=achieved - config.power_q)
 
 
 def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:

@@ -23,7 +23,7 @@ from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
                     _require_finite)
-from .wyner import rate_mcp, rate_mcp_finite, upper_bound
+from .wyner import rate_mcp_finite, upper_bound, waterfill_finite
 
 AXES = ("mu", "power_p", "power_q", "rho1_db", "rho2_db")
 
@@ -97,12 +97,9 @@ def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, seed):
     bound = upper_bound(config, quadrature)
     if seed is None:
         return bound, {}, {}
-    # The ring checks the first-hop arm. The waterfilled arm has no
-    # independent reference, so when it is the bound it is reused as is.
     with _oracle():
-        finite = rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING)
-        if bound != rate_mcp(config.first_lag, config.rho1):
-            finite = min(finite, bound)
+        finite = min(rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING),
+                     waterfill_finite(config.second_lag, config.rho2, ORACLE_RING))
     return bound, {}, _against("upper_bound", finite, bound)
 
 

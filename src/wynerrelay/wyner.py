@@ -53,6 +53,15 @@ def _check_snr(rho, allow_zero: bool) -> float:
     return rho
 
 
+def _check_cells(cells) -> int:
+    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
+        raise ValueError(f"cell count must be an integer, got {cells!r}")
+    cells = int(cells)
+    if cells < 3:
+        raise ValueError(f"a ring needs at least 3 cells, got {cells}")
+    return cells
+
+
 def rate_mcp(lag: LagGains, rho, quadrature=None) -> float:
     """Per-cell sum-rate of the infinite ring with a flat transmit spectrum.
 
@@ -89,11 +98,7 @@ def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
     H(m/M), so the rate is the plain average of log2(1 + rho*H(m/M)^2).
     """
     rho = _check_snr(rho, allow_zero=True)
-    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
-        raise ValueError(f"cell count must be an integer, got {cells!r}")
-    cells = int(cells)
-    if cells < 3:
-        raise ValueError(f"a ring needs at least 3 cells, got {cells}")
+    cells = _check_cells(cells)
     return float(np.mean(_rate_samples(lag, rho, uniform_grid(cells))))
 
 
@@ -197,6 +202,28 @@ def waterfill(lag: LagGains, rho,
             0.0)) / _LN2,
         quadrature)
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
+
+
+def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
+    """Exact waterfilled per-cell sum-rate of the M-cell ring.
+
+    Sort-and-fill over the ring's modes H(m/M): the water level spends
+    M*rho on the modes whose floor 1/H^2 lies below it, and modes with
+    H = 0 get no power. Silent relays (rho = 0) or an identically zero
+    response carry nothing, so the rate is then 0.
+    """
+    rho = _check_snr(rho, allow_zero=True)
+    cells = _check_cells(cells)
+    floors = np.sort(_inverse_response_power(lag, uniform_grid(cells)))
+    floors = floors[np.isfinite(floors)]
+    if rho == 0.0 or floors.size == 0:
+        return 0.0
+    levels = (cells * rho + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    # The level with k modes wet stays above the k-th floor exactly up to
+    # the last mode the final level reaches.
+    active = floors[levels > floors]
+    level = levels[active.size - 1]
+    return float(np.sum(np.log1p((level - active) / active)) / (cells * _LN2))
 
 
 def upper_bound(config: SystemConfig,

@@ -16,10 +16,34 @@ from wynerrelay import (
     simulate_relay_power,
     uniform_grid,
 )
+from wynerrelay.af import _gain_root
 
 # Dense grid scan of relay_output_power (10^6 points over the stable gain
 # interval) at the reference relay setup, frozen from a scratch run.
 ORACLE_GRID_GAIN = 1.228126552848946
+
+
+def reference_root(cfg):
+    """(g, s) by a 50-digit bisection of the power law in g."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(50):
+        direct = mp.mpf(cfg.power_p) * mp.mpf(cfg.beta) ** 2 + cfg.noise1
+        adjacent = 4 * mp.mpf(cfg.power_p) * mp.mpf(cfg.alpha) ** 2
+        mu = mp.mpf(cfg.mu)
+
+        def settle(g):
+            return mp.sqrt(1 - (2 * mu * g) ** 2)
+
+        def power(g):
+            s = settle(g)
+            return g ** 2 * (direct / s + adjacent / (s + s * s))
+
+        lo = mp.mpf(0)
+        hi = 1 / (2 * mu) if mu else 2 * mp.sqrt(cfg.power_q / direct)
+        for _ in range(200):
+            mid = (lo + hi) / 2
+            lo, hi = (mid, hi) if power(mid) < cfg.power_q else (lo, mid)
+        return float(lo), float(settle(lo))
 
 
 def config(**overrides):
@@ -94,6 +118,26 @@ class TestOptimalGain:
         solution = optimal_gain(config(power_q=1e6))
         assert abs(solution.gain - 1.25) / 1.25 <= 0.01
         assert solution.gain < 1.25
+
+    def test_matches_high_precision_root(self):
+        # Up to Q = 120 dB, where 1 - 2*mu*g falls to 1e-23 and s cannot
+        # be recovered from g in double precision.
+        for mu in (0.0, 0.2, 0.8, 0.9):
+            for q_db in (-10.0, 20.0, 60.0, 80.0, 120.0):
+                cfg = config(mu=mu, power_q=10.0 ** (q_db / 10.0))
+                gain, settle_root = _gain_root(cfg)
+                expected_gain, expected_settle = reference_root(cfg)
+                assert gain == pytest.approx(expected_gain, rel=1e-14)
+                assert settle_root == pytest.approx(expected_settle, rel=1e-14)
+                solution = optimal_gain(cfg)
+                assert solution.gain == gain
+                assert abs(solution.residual) <= 1e-12 * max(cfg.power_q, 1.0)
+
+    def test_huge_budget_stays_stable(self):
+        solution = optimal_gain(config(mu=0.8, power_q=1e300))
+        assert math.isfinite(solution.gain)
+        assert 2.0 * 0.8 * solution.gain < 1.0
+        assert abs(solution.residual) <= 1e-12 * 1e300
 
 
 class TestAfRate:

@@ -96,6 +96,22 @@ class TestRateCommand:
         cf = json.loads(capfd.readouterr().out)["rates"]["cf"]
         assert cf == pytest.approx(rate_mcp(LagGains(local=1.0, cross=0.2), 10.0), abs=1e-9)
 
+    def test_af_gain_near_the_echo_pole(self, capfd):
+        # 2*mu*g rounds to 1 here; AF then sits at its large-budget limit.
+        rates = {}
+        for q_db in ("60", "80", "120", "300"):
+            assert main(["rate", "--mu", "0.8", "--Q-dB", q_db, "--schemes", "af",
+                         "--format", "json"]) == 0
+            rates[q_db] = json.loads(capfd.readouterr().out)["rates"]["af"]
+        for q_db in ("80", "120", "300"):
+            assert rates[q_db] == pytest.approx(rates["60"], abs=1e-9)
+
+    def test_af_power_residual_is_within_roundoff(self, capfd):
+        assert main(["rate", "--mu", "0.8", "--Q-dB", "60", "--verbose",
+                     "--format", "json"]) == 0
+        residual = json.loads(capfd.readouterr().out)["rates"]["af_power_residual"]
+        assert abs(residual) <= 1e-9 * 1e6
+
     def test_rate_above_upper_bound_is_numerical_failure(self, monkeypatch, capfd):
         solve = wynerrelay.sweep.cf_solve
         monkeypatch.setattr(wynerrelay.sweep, "cf_solve",

@@ -19,6 +19,7 @@ from wynerrelay import (
     uniform_grid,
     upper_bound,
     waterfill,
+    waterfill_finite,
 )
 
 TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
@@ -203,6 +204,8 @@ class TestWaterfill:
         level, rate = discrete_waterfill(lag, 100.0)
         assert level == pytest.approx(ORACLE_WATERFILL_LEVEL, rel=1e-9)
         assert rate == pytest.approx(ORACLE_WATERFILL_RATE, rel=1e-9)
+        assert waterfill_finite(lag, 100.0, 2**20) == pytest.approx(
+            ORACLE_WATERFILL_RATE, rel=1e-9)
         solution = waterfill(lag, 100.0)
         assert solution.rate == pytest.approx(ORACLE_WATERFILL_RATE, abs=1e-6)
 
