@@ -16,36 +16,29 @@ the base stations only through a layer of relays:
 """
 
 from .model import (ConfigError, LagGains, SystemConfig, QuadratureConfig,
-                    DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
-                    config_to_mapping, db_to_linear, linear_to_db, load_config,
+                    PACKAGE_VERSION, config_to_mapping, db_to_linear,
                     load_mapping, parse_config)
-from .numerics import (BracketError, BracketedRoot, ConvergenceError,
-                       bisect_monotone, integrate_periodic,
+from .numerics import (BracketError, ConvergenceError, integrate_periodic,
                        integrate_periodic_report, uniform_grid)
-from .wyner import (WaterfillSolution, channel_response, rate_mcp,
-                    rate_mcp_finite, upper_bound, waterfill, waterfill_finite)
-from .af import (AfGainSolution, MonteCarloPower, RING_CELLS, af_rate,
-                 af_rate_finite, optimal_gain, relay_output_power,
+from .wyner import (channel_response, rate_mcp, rate_mcp_finite, upper_bound,
+                    waterfill, waterfill_finite)
+from .af import (af_rate, af_rate_finite, optimal_gain, relay_output_power,
                  simulate_relay_power)
-from .cf import CfSolution, cf_rate_limits, cf_solve
-from .sweep import (AXES, ORACLE_RING, SCHEME_ORDER, SchemeError, SweepSpec,
-                    SweepTable, axis_values, canonical_schemes, config_at,
-                    emit, figure_spec, run_point, run_sweep)
+from .cf import CfSolution, cf_solve
+from .sweep import (SCHEME_ORDER, SchemeError, SweepSpec, axis_values,
+                    canonical_schemes, config_at, emit, figure_spec, run_point,
+                    run_sweep)
 
 __version__ = PACKAGE_VERSION
 
 __all__ = [
-    "AXES", "AfGainSolution", "BracketError", "BracketedRoot", "CfSolution",
-    "ConfigError", "ConvergenceError", "DEFAULT_CONFIG_MAPPING",
-    "DEFAULT_QUADRATURE", "LagGains", "MonteCarloPower", "ORACLE_RING",
-    "PACKAGE_VERSION", "QuadratureConfig", "RING_CELLS", "SCHEME_ORDER",
-    "SchemeError", "SweepSpec", "SweepTable", "SystemConfig",
-    "WaterfillSolution", "af_rate", "af_rate_finite", "axis_values",
-    "bisect_monotone", "canonical_schemes", "cf_rate_limits", "cf_solve",
-    "channel_response", "config_at", "config_to_mapping", "db_to_linear",
-    "emit", "figure_spec", "integrate_periodic", "integrate_periodic_report",
-    "linear_to_db", "load_config", "load_mapping", "optimal_gain",
-    "parse_config", "rate_mcp", "rate_mcp_finite", "relay_output_power",
-    "run_point", "run_sweep", "simulate_relay_power", "uniform_grid",
-    "upper_bound", "waterfill", "waterfill_finite",
+    "BracketError", "CfSolution", "ConfigError", "ConvergenceError",
+    "LagGains", "PACKAGE_VERSION", "QuadratureConfig", "SCHEME_ORDER",
+    "SchemeError", "SweepSpec", "SystemConfig", "af_rate", "af_rate_finite",
+    "axis_values", "canonical_schemes", "cf_solve", "channel_response",
+    "config_at", "config_to_mapping", "db_to_linear", "emit", "figure_spec",
+    "integrate_periodic", "integrate_periodic_report", "load_mapping",
+    "optimal_gain", "parse_config", "rate_mcp", "rate_mcp_finite",
+    "relay_output_power", "run_point", "run_sweep", "simulate_relay_power",
+    "uniform_grid", "upper_bound", "waterfill", "waterfill_finite",
 ]

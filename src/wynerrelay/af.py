@@ -17,11 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE
-from .numerics import integrate_periodic, uniform_grid
+from .numerics import _check_cells, integrate_periodic, uniform_grid
 
 # The Monte Carlo oracle simulates a fixed ring: 64 cells, unit relay
 # delay, which is plenty for wrap effects to vanish at mu <= 0.8.
 RING_CELLS = 64
+# Symbols the ring simulation discards before it starts averaging.
+_WARMUP_SYMBOLS = 1000
 
 
 def _check_gain(gain, mu: float) -> float:
@@ -158,11 +160,7 @@ def af_rate(config: SystemConfig, gain,
 def af_rate_finite(config: SystemConfig, gain, cells: int) -> float:
     """Average of the same per-subchannel rate over an M-cell ring's modes."""
     gain = _check_gain(gain, config.mu)
-    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
-        raise ValueError(f"cell count must be an integer, got {cells!r}")
-    cells = int(cells)
-    if cells < 3:
-        raise ValueError(f"a ring needs at least 3 cells, got {cells}")
+    cells = _check_cells(cells)
     return float(np.mean(_af_samples(config, gain, uniform_grid(cells))))
 
 
@@ -176,13 +174,13 @@ class MonteCarloPower:
 
 
 def simulate_relay_power(config: SystemConfig, gain, *, symbols: int = 1 << 20,
-                         seed=1234, warmup: int = 1000) -> MonteCarloPower:
+                         seed=1234) -> MonteCarloPower:
     """Simulate the 64-cell AF ring and measure the relay transmit power.
 
     Mobiles send fresh circularly symmetric Gaussian symbols each step;
     every relay retransmits its previously received sample scaled by
-    `gain` (unit delay). The first `warmup` symbols are discarded, then
-    at least `symbols` further symbols are averaged. The standard error
+    `gain` (unit delay). The first _WARMUP_SYMBOLS symbols are discarded,
+    then at least `symbols` further symbols are averaged. The standard error
     comes from 64 sequential batch means, which are effectively
     independent because the echo correlation dies off in a few steps.
     """
@@ -191,7 +189,7 @@ def simulate_relay_power(config: SystemConfig, gain, *, symbols: int = 1 << 20,
         raise ValueError(f"need at least one symbol, got {symbols}")
     rng = np.random.default_rng(seed)
     cells = RING_CELLS
-    warmup_steps = (int(warmup) + cells - 1) // cells
+    warmup_steps = (_WARMUP_SYMBOLS + cells - 1) // cells
     batches = 64
     # Round the measured steps up to a whole number of equal batches.
     wanted = (int(symbols) + cells - 1) // cells

@@ -14,8 +14,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .model import SystemConfig
-from .numerics import bisect_monotone
 from .wyner import rate_mcp
+
+# Balance tolerance and relative bracket width at which the solve stops.
+_TOL = 1e-10
 
 
 @dataclass(frozen=True)
@@ -36,33 +38,32 @@ class CfSolution:
 def cf_solve(config: SystemConfig) -> CfSolution:
     """Solve the description-rate balance and return the achieved rate.
 
-    The balance difference is strictly increasing in r and changes sign
-    on [0, second-hop rate], so plain bisection is certified.
+    The balance rate(r) - (carried - r), with carried the second-hop rate,
+    is strictly increasing in r and equals -carried at r = 0, so its root
+    lies on [0, carried] and bisection is certified. A second hop carrying
+    at most 1e-10 gives r* = 0 outright. Otherwise the solve tries
+    r = carried, then halves the bracket until |balance| <= 1e-10 or the
+    bracket is narrower than 1e-10 * max(1, r).
     """
     carried = rate_mcp(config.second_lag, config.rho2)
-    if carried == 0.0:
-        return CfSolution(rate=0.0, r_star=0.0, residual=0.0, second_lag_rate=carried)
+    if carried <= _TOL:
+        # 0.0 - carried keeps silent relays' residual at +0.0.
+        return CfSolution(rate=0.0, r_star=0.0, residual=0.0 - carried,
+                          second_lag_rate=carried)
 
-    def balance(r: float) -> float:
-        quantized = config.rho1 * (1.0 - 2.0 ** (-r))
-        return rate_mcp(config.first_lag, quantized) - (carried - r)
+    def balance(r: float):
+        rate = rate_mcp(config.first_lag, config.rho1 * (1.0 - 2.0 ** (-r)))
+        return rate, rate - (carried - r)
 
-    root = bisect_monotone(balance, 0.0, carried, target=0.0, tol=1e-10)
-    r_star = root.location
-    rate = rate_mcp(config.first_lag, config.rho1 * (1.0 - 2.0 ** (-r_star)))
-    return CfSolution(rate=rate, r_star=r_star,
-                      residual=rate - (carried - r_star), second_lag_rate=carried)
-
-
-def cf_rate_limits(config: SystemConfig, which: str) -> float:
-    """Analytic value cf_solve approaches as one hop's SNR grows without bound.
-
-    which names the diverging SNR: "first_lag_snr" leaves the second hop
-    as the bottleneck, "second_lag_snr" leaves the first.
-    """
-    if which == "first_lag_snr":
-        return rate_mcp(config.second_lag, config.rho2)
-    if which == "second_lag_snr":
-        return rate_mcp(config.first_lag, config.rho1)
-    raise ValueError(
-        f"which must be 'first_lag_snr' or 'second_lag_snr', got {which!r}")
+    lo, hi = 0.0, carried
+    r_star = carried
+    rate, residual = balance(r_star)
+    while abs(residual) > _TOL and hi - lo >= _TOL * max(1.0, r_star):
+        if residual < 0.0:
+            lo = r_star
+        else:
+            hi = r_star
+        r_star = 0.5 * (lo + hi)
+        rate, residual = balance(r_star)
+    return CfSolution(rate=rate, r_star=r_star, residual=residual,
+                      second_lag_rate=carried)

@@ -155,15 +155,16 @@ def _run_rate(args) -> bytes:
     return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _run_sweep(args) -> bytes:
-    config = _config_from_args(args)
-    quadrature = _quadrature_from_args(args)
-    spec = SweepSpec(axis=args.axis, start=args.start, stop=args.stop,
-                     points=args.points, base=config,
-                     schemes=_schemes_from_args(args))
-    table = run_sweep(spec, quadrature, diagnostics=args.verbose,
+def _run_table(args, spec: SweepSpec) -> bytes:
+    table = run_sweep(spec, _quadrature_from_args(args), diagnostics=args.verbose,
                       oracle=args.oracle, seed=args.seed)
     return emit(table, args.format)
+
+
+def _run_sweep(args) -> bytes:
+    return _run_table(args, SweepSpec(
+        axis=args.axis, start=args.start, stop=args.stop, points=args.points,
+        base=_config_from_args(args), schemes=_schemes_from_args(args)))
 
 
 def _run_figure(args) -> bytes:
@@ -172,10 +173,7 @@ def _run_figure(args) -> bytes:
     spec = replace(spec, base=base)
     if args.schemes is not None:
         spec = replace(spec, schemes=_schemes_from_args(args))
-    quadrature = _quadrature_from_args(args)
-    table = run_sweep(spec, quadrature, diagnostics=args.verbose,
-                      oracle=args.oracle, seed=args.seed)
-    return emit(table, args.format)
+    return _run_table(args, spec)
 
 
 def _write_output(data: bytes, path: str) -> None:

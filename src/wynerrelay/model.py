@@ -25,13 +25,6 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    """Convert a positive linear power quantity to dB."""
-    if value <= 0.0:
-        raise ValueError("dB conversion requires a positive value")
-    return 10.0 * math.log10(value)
-
-
 def _require_finite(name: str, value) -> float:
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
@@ -229,8 +222,3 @@ def load_mapping(path) -> dict:
     if not isinstance(document, dict):
         raise ConfigError(f"config file {path} must hold a single JSON object")
     return document
-
-
-def load_config(path) -> SystemConfig:
-    """Read a JSON object file and parse it as a configuration."""
-    return parse_config(load_mapping(path))

@@ -1,4 +1,4 @@
-"""Quadrature and root-finding kernels shared by the rate computations.
+"""Periodic quadrature shared by the rate computations.
 
 Every integral in this package runs over one period of a smooth periodic
 integrand, where the uniform-grid trapezoid rule converges spectrally. The
@@ -9,7 +9,7 @@ cross-checks rely on.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
 
 import numpy as np
 
@@ -28,20 +28,20 @@ class BracketError(ValueError):
     """A root bracket could not be established or made no sense."""
 
 
-@dataclass(frozen=True)
-class BracketedRoot:
-    """Result of a bisection solve."""
-
-    location: float
-    residual: float
-    iterations: int
-
-
 def uniform_grid(points: int) -> np.ndarray:
     """Equispaced abscissae k/points for k = 0 .. points-1."""
     if points < 1:
         raise ValueError(f"grid needs at least one point, got {points}")
     return np.arange(points, dtype=np.float64) / points
+
+
+def _check_cells(cells) -> int:
+    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
+        raise ValueError(f"cell count must be an integer, got {cells!r}")
+    cells = int(cells)
+    if cells < 3:
+        raise ValueError(f"a ring needs at least 3 cells, got {cells}")
+    return cells
 
 
 def _grid_average(integrand, points: int) -> float:
@@ -77,51 +77,3 @@ def integrate_periodic_report(integrand, quadrature: QuadratureConfig = DEFAULT_
 def integrate_periodic(integrand, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     value, _ = integrate_periodic_report(integrand, quadrature)
     return value
-
-
-def bisect_monotone(func, lo: float, hi: float, target: float = 0.0,
-                    tol: float = 1e-12, max_iterations: int = 200) -> BracketedRoot:
-    """Solve func(x) = target for monotone func on [lo, hi] by bisection.
-
-    The direction of monotonicity is inferred from the endpoint values.
-    Stops when the residual magnitude drops to tol or the bracket width
-    falls below tol * max(1, |midpoint|). The endpoints are tried first so
-    an exact boundary solution costs no iterations.
-    """
-    if not lo < hi:
-        raise BracketError(f"bracket [{lo}, {hi}] is empty")
-
-    def offset(x: float) -> float:
-        value = func(x)
-        if not np.isfinite(value):
-            raise ValueError(f"function evaluated to {value} at x = {x}")
-        return value - target
-
-    f_lo = offset(lo)
-    if abs(f_lo) <= tol:
-        return BracketedRoot(location=lo, residual=f_lo, iterations=0)
-    f_hi = offset(hi)
-    if abs(f_hi) <= tol:
-        return BracketedRoot(location=hi, residual=f_hi, iterations=0)
-    if f_lo < 0.0 < f_hi:
-        orient = 1.0
-    elif f_hi < 0.0 < f_lo:
-        orient = -1.0
-    else:
-        raise BracketError(
-            f"target {target} is not straddled on [{lo}, {hi}]: "
-            f"endpoint values {f_lo + target} and {f_hi + target}")
-    mid = 0.5 * (lo + hi)
-    f_mid = offset(mid)
-    for iteration in range(1, max_iterations + 1):
-        if abs(f_mid) <= tol or (hi - lo) < tol * max(1.0, abs(mid)):
-            return BracketedRoot(location=mid, residual=f_mid, iterations=iteration)
-        if orient * f_mid < 0.0:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-        f_mid = offset(mid)
-    raise ConvergenceError(
-        f"bisection exhausted {max_iterations} iterations on [{lo}, {hi}]",
-        best_estimate=mid)

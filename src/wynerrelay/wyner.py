@@ -21,8 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE
-from .numerics import (BracketError, ConvergenceError, integrate_periodic,
-                       integrate_periodic_report, uniform_grid)
+from .numerics import (BracketError, ConvergenceError, _check_cells,
+                       integrate_periodic, integrate_periodic_report, uniform_grid)
 
 _LN2 = math.log(2.0)
 
@@ -53,16 +53,7 @@ def _check_snr(rho, allow_zero: bool) -> float:
     return rho
 
 
-def _check_cells(cells) -> int:
-    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
-        raise ValueError(f"cell count must be an integer, got {cells!r}")
-    cells = int(cells)
-    if cells < 3:
-        raise ValueError(f"a ring needs at least 3 cells, got {cells}")
-    return cells
-
-
-def rate_mcp(lag: LagGains, rho, quadrature=None) -> float:
+def rate_mcp(lag: LagGains, rho) -> float:
     """Per-cell sum-rate of the infinite ring with a flat transmit spectrum.
 
     Wyner's closed form (IEEE Trans. IT 40(6), 1994), by Jensen's formula:
@@ -70,7 +61,7 @@ def rate_mcp(lag: LagGains, rho, quadrature=None) -> float:
     where a = local, b = cross and c = 1 + i*sqrt(rho)*a. The discriminant
     in factored form keeps its digits at the double null a = 2b, and
     w = c*(1 + eps), eps = rho*b^2/(c*w), keeps them at low SNR, as
-    log2(1 + rho*a^2) + log2|1 + eps|^2. `quadrature` is accepted and ignored.
+    log2(1 + rho*a^2) + log2|1 + eps|^2.
     """
     rho = _check_snr(rho, allow_zero=True)
     a, b = lag.local, lag.cross

@@ -8,7 +8,6 @@ import pytest
 from wynerrelay import (
     CfSolution,
     LagGains,
-    cf_rate_limits,
     cf_solve,
     parse_config,
     rate_mcp,
@@ -113,20 +112,28 @@ class TestCfSolve:
     def test_r_star_nonnegative(self):
         assert cf_solve(config(power_q=1.0)).r_star >= 0.0
 
+    # Where the bisection stops, frozen from the solver. A change to its
+    # stop rule moves the default r* by about 1e-10, far beyond rel 1e-14.
+    @pytest.mark.parametrize("overrides, expected", [
+        ({}, lambda carried: (
+            pytest.approx(float.fromhex("0x1.9e2a6208e27f2p+1"), rel=1e-14),
+            pytest.approx(float.fromhex("0x1.a6e0cea0107fcp+1"), rel=1e-14),
+            pytest.approx(0.0, abs=1e-10))),
+        # Second hop below the tolerance: r* = 0, where the balance is -carried.
+        ({"power_q": 1e-12}, lambda carried: (0.0, 0.0, -carried)),
+        # Silent mobiles: the balance vanishes at r* = carried.
+        ({"power_p": 0.0}, lambda carried: (0.0, carried, 0.0)),
+    ], ids=["default", "second_hop_below_tol", "silent_mobiles"])
+    def test_stopping_point(self, overrides, expected):
+        solution = cf_solve(config(**overrides))
+        assert (solution.rate, solution.r_star, solution.residual) == \
+            expected(solution.second_lag_rate)
+
 
 class TestCfLimits:
-    def test_limit_values(self):
-        cfg = config()
-        assert cf_rate_limits(cfg, "first_lag_snr") == rate_mcp(cfg.second_lag, 100.0)
-        assert cf_rate_limits(cfg, "second_lag_snr") == rate_mcp(cfg.first_lag, 10.0)
-
-    def test_rejects_unknown_limit(self):
-        with pytest.raises(ValueError):
-            cf_rate_limits(config(), "third_lag_snr")
-
     def test_approached_at_large_relay_snr(self):
         cfg = config(power_q=100.0 * 1e4)
-        limit = cf_rate_limits(config(), "second_lag_snr")
+        limit = rate_mcp(cfg.first_lag, cfg.rho1)
         assert cf_solve(cfg).rate == pytest.approx(limit, abs=1e-3)
 
     def test_strict_gap_under_waterfilling(self):

@@ -1,4 +1,4 @@
-"""Periodic quadrature and bracketed root finding."""
+"""Periodic quadrature."""
 
 import math
 
@@ -6,10 +6,8 @@ import numpy as np
 import pytest
 
 from wynerrelay import (
-    BracketError,
     ConvergenceError,
     QuadratureConfig,
-    bisect_monotone,
     integrate_periodic,
     integrate_periodic_report,
     uniform_grid,
@@ -81,43 +79,3 @@ class TestIntegratePeriodic:
 
         with pytest.raises(ValueError, match="f = 0"):
             integrate_periodic(integrand, TIGHT)
-
-
-class TestBisectMonotone:
-    def test_linear(self):
-        root = bisect_monotone(lambda x: x, 0.0, 1.0, target=0.5, tol=1e-13)
-        assert root.location == pytest.approx(0.5, abs=1e-12)
-        assert abs(root.residual) <= 1e-13
-
-    def test_square_root_of_two(self):
-        root = bisect_monotone(lambda x: x * x, 0.0, 2.0, target=2.0, tol=1e-12)
-        assert root.location == pytest.approx(math.sqrt(2.0), abs=1e-11)
-
-    def test_iteration_bound(self):
-        tol = 1e-12
-        root = bisect_monotone(lambda x: x, 0.0, 1.0, target=0.3, tol=tol)
-        assert root.iterations <= math.ceil(math.log2(1.0 / tol)) + 2
-
-    def test_decreasing_function(self):
-        root = bisect_monotone(lambda x: -x, 0.0, 1.0, target=-0.25)
-        assert root.location == pytest.approx(0.25, abs=1e-11)
-
-    def test_target_at_endpoint(self):
-        root = bisect_monotone(lambda x: x, 0.5, 2.0, target=0.5)
-        assert root.location == 0.5
-        assert root.residual == 0.0
-        assert root.iterations == 0
-
-    def test_no_straddle_raises(self):
-        with pytest.raises(BracketError):
-            bisect_monotone(lambda x: x, 0.0, 1.0, target=2.0)
-
-    def test_degenerate_bracket_raises(self):
-        with pytest.raises(BracketError):
-            bisect_monotone(lambda x: x, 1.0, 1.0, target=0.5)
-        with pytest.raises(BracketError):
-            bisect_monotone(lambda x: x, 2.0, 1.0, target=1.5)
-
-    def test_non_finite_evaluation_raises(self):
-        with pytest.raises(ValueError):
-            bisect_monotone(lambda x: math.inf if x > 0.6 else x, 0.0, 1.0, target=0.9)

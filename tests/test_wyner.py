@@ -94,7 +94,7 @@ class TestRateMcp:
             return np.log1p(10.0 * response**2) / math.log(2.0)
 
         assert integrate_periodic(negated, TIGHT) == pytest.approx(
-            rate_mcp(lag, 10.0, TIGHT), rel=1e-10
+            rate_mcp(lag, 10.0), rel=1e-10
         )
 
     def test_matches_quadrature(self):
