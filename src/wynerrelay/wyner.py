@@ -6,7 +6,9 @@ infinite ring at SNR rho is the integral over f in [0, 1) of
 log2(1 + rho*H(f)^2). That integral has Wyner's closed form (A. D. Wyner,
 IEEE Trans. IT 40(6), 1994), which follows from Jensen's formula. The
 waterfilled variant optimizes the transmit spectrum under the same average
-power and is integrated by the periodic quadrature. Finite rings of M cells
+power and is integrated by the periodic quadrature on the nested grids k/n,
+whose samples of H and 1/H^2 each waterfill computes once and shares
+between its bracket, constraint and rate integrals. Finite rings of M cells
 have a circulant channel matrix whose eigenvalues are H(m/M), which gives
 an exact cross-check oracle for the integrals.
 """
@@ -102,12 +104,61 @@ class WaterfillSolution:
     spent_power: float
 
 
-def _inverse_response_power(lag: LagGains, f) -> np.ndarray:
-    h = np.asarray(channel_response(lag, f), dtype=np.float64)
-    inverse = np.full(h.shape, np.inf)
-    safe = np.abs(h) >= _POLE_GUARD
-    inverse[safe] = 1.0 / np.square(h[safe])
+def _inverse_response_power(response: np.ndarray) -> np.ndarray:
+    """Subchannel floors 1/H^2, infinite where |H| is below _POLE_GUARD."""
+    with np.errstate(divide="ignore", over="ignore"):
+        inverse = 1.0 / np.square(response)
+    np.copyto(inverse, np.inf, where=np.abs(response) < _POLE_GUARD)
     return inverse
+
+
+def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    merged = np.empty(even.size + odd.size)
+    merged[0::2] = even
+    merged[1::2] = odd
+    return merged
+
+
+class _DyadicSamples:
+    """H and 1/H^2 of one hop on the nested grids k/n, each sample computed once.
+
+    Only the finest grid reached is held. A coarser grid of the same
+    doubling chain is the strided view [::finest // n], bit-identical to
+    sampling it afresh because (2j)/(2n) == j/n exactly in binary floating
+    point. Refining n to 2n evaluates only the n odd abscissae (2j+1)/(2n).
+    """
+
+    def __init__(self, lag: LagGains, points: int):
+        self._lag = lag
+        self._response = channel_response(lag, uniform_grid(points))
+        self._inverse = _inverse_response_power(self._response)
+
+    def _stride(self, points: int) -> int:
+        while self._response.size < points:
+            size = self._response.size
+            odd = channel_response(
+                self._lag, np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
+            odd_inverse = _inverse_response_power(odd)
+            self._response = _interleave(self._response, odd)
+            del odd  # the second merge sets the peak memory
+            self._inverse = _interleave(self._inverse, odd_inverse)
+        return self._response.size // points
+
+    def response(self, points: int) -> np.ndarray:
+        """H(k/points) for k = 0 .. points-1, a view of the memo."""
+        stride = self._stride(points)
+        return self._response[::stride]
+
+    def inverse(self, points: int) -> np.ndarray:
+        """1/H(k/points)^2 for k = 0 .. points-1, a view of the memo."""
+        stride = self._stride(points)
+        return self._inverse[::stride]
+
+
+def _wet_power(level: float, inverse: np.ndarray) -> np.ndarray:
+    """(level - inverse)+, computed in one buffer."""
+    wet = level - inverse
+    return np.maximum(wet, 0.0, out=wet)
 
 
 def _pinned_level(inverse: np.ndarray, rho: float, upper: float) -> float:
@@ -139,13 +190,21 @@ def waterfill(lag: LagGains, rho,
     is pinned to the grid certified by the doubling quadrature, where it is
     piecewise linear in the level and solved exactly, so the reported
     spent_power carries no re-discretization noise.
+
+    The bracket ladders, the pinned constraint and the rate ladder all read
+    H and 1/H^2 from one memo of the nested grids k/n (_DyadicSamples), so
+    each sample is computed once, bit-identically to sampling every grid
+    afresh.
     """
     rho = _check_snr(rho, allow_zero=False)
     if lag.local == 0.0 and lag.cross == 0.0:
         raise ValueError("waterfilling needs a response that is not identically zero")
 
+    samples = _DyadicSamples(lag, quadrature.initial_points)
+
+    # Every integrand is handed uniform_grid(n) and reads the memo at n.
     def spent_integrand(level):
-        return lambda f: np.maximum(level - _inverse_response_power(lag, f), 0.0)
+        return lambda f: _wet_power(level, samples.inverse(f.size))
 
     # Grow the upper level bracket until the constraint is exceeded. The
     # converged report also fixes the grid that resolves the clamp boundary.
@@ -162,10 +221,10 @@ def waterfill(lag: LagGains, rho,
         spent_upper, points = integrate_periodic_report(spent_integrand(upper), quadrature)
 
     while True:
-        inverse = _inverse_response_power(lag, uniform_grid(points))
+        inverse = samples.inverse(points)
 
         def spent_pinned(level):
-            return float(np.mean(np.maximum(level - inverse, 0.0)))
+            return float(np.mean(_wet_power(level, inverse)))
 
         while spent_pinned(upper) < rho:
             doublings += 1
@@ -177,7 +236,7 @@ def waterfill(lag: LagGains, rho,
         # Certify the grid at the solved level the same way the doubling
         # quadrature certifies its own pairs: every second grid point is
         # exactly the half-resolution grid.
-        coarse = float(np.mean(np.maximum(level - inverse[::2], 0.0)))
+        coarse = float(np.mean(_wet_power(level, inverse[::2])))
         spent = spent_pinned(level)
         if abs(spent - coarse) < quadrature.rel_tol * max(1.0, abs(spent)):
             break
@@ -187,11 +246,16 @@ def waterfill(lag: LagGains, rho,
                 f"{quadrature.max_points} points", best_estimate=level)
         points *= 2
 
-    rate = integrate_periodic(
-        lambda f: np.log1p(np.maximum(
-            level * np.square(np.asarray(channel_response(lag, f))) - 1.0,
-            0.0)) / _LN2,
-        quadrature)
+    def rate_integrand(f):
+        # log2(1 + (level*H^2 - 1)+), in one buffer.
+        gain = np.square(samples.response(f.size))
+        gain *= level
+        gain -= 1.0
+        np.log1p(np.maximum(gain, 0.0, out=gain), out=gain)
+        gain /= _LN2
+        return gain
+
+    rate = integrate_periodic(rate_integrand, quadrature)
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
 
 
@@ -205,7 +269,7 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
     """
     rho = _check_snr(rho, allow_zero=True)
     cells = _check_cells(cells)
-    floors = np.sort(_inverse_response_power(lag, uniform_grid(cells)))
+    floors = np.sort(_inverse_response_power(channel_response(lag, uniform_grid(cells))))
     floors = floors[np.isfinite(floors)]
     if rho == 0.0 or floors.size == 0:
         return 0.0

@@ -13,6 +13,7 @@ from wynerrelay import (
     cf_solve,
     channel_response,
     integrate_periodic,
+    integrate_periodic_report,
     parse_config,
     rate_mcp,
     rate_mcp_finite,
@@ -214,6 +215,55 @@ class TestWaterfill:
         # clamped integrand must still meet the power constraint.
         solution = waterfill(LagGains(local=1.0, cross=0.6), 31.6227766)
         assert solution.spent_power == pytest.approx(31.6227766, abs=1e-9)
+
+    # float.hex of (level, rate, spent_power) as computed by sampling every
+    # grid afresh: a smooth hop, two clamped hops of the seed-1 rate
+    # queries of the benchmark, and a near null.
+    RECORDED = (
+        ((1.0, 0.2), 100.0,
+         ("0x1.9532170a15a8ep+6", "0x1.a286475191f42p+2", "0x1.9000000000000p+6")),
+        ((0.519594, 0.196274), 3.1646085710903087,
+         ("0x1.e5309acbfdc1ep+2", "0x1.2269998731925p+0", "0x1.9511e4c6bcb17p+1")),
+        ((1.405169, 0.519564), 3.311539960001644,
+         ("0x1.2f95fcdc204c8p+2", "0x1.6297043a8e1f9p+1", "0x1.a7e08a99cd56cp+1")),
+        ((1.0, 0.6), 31.6227766,
+         ("0x1.5a5abc5b5c860p+5", "0x1.19417ecf2047ep+2", "0x1.f9f6e4989b6cep+4")),
+    )
+
+    def test_bit_identical_to_recorded(self):
+        for (local, cross), rho, expected in self.RECORDED:
+            solution = waterfill(LagGains(local=local, cross=cross), rho)
+            got = (solution.level.hex(), solution.rate.hex(),
+                   solution.spent_power.hex())
+            assert got == expected, (local, cross, rho)
+
+    def test_each_response_sample_computed_once(self, monkeypatch):
+        abscissae, grids = [], []
+        pinned_level = wynerrelay.wyner._pinned_level
+
+        def counting_response(lag, f):
+            abscissae.append(np.array(f, dtype=np.float64, ndmin=1))
+            return channel_response(lag, f)
+
+        def reporting(integrand, quadrature):
+            value, points = integrate_periodic_report(integrand, quadrature)
+            grids.append(points)
+            return value, points
+
+        def pinned(inverse, rho, upper):
+            grids.append(inverse.size)
+            return pinned_level(inverse, rho, upper)
+
+        monkeypatch.setattr(wynerrelay.wyner, "channel_response", counting_response)
+        monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic_report", reporting)
+        monkeypatch.setattr(wynerrelay.wyner, "_pinned_level", pinned)
+        # A clamped hop: its constraint grid goes well past the first ladder.
+        waterfill(LagGains(local=0.519594, cross=0.196274), 3.1646085710903087)
+        finest = max(grids)
+        sampled = np.concatenate(abscissae)
+        assert finest >= 2**16
+        assert sampled.size == finest
+        np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))
 
     def test_dominates_no_waterfilling(self):
         for cross in (0.0, 0.3, 0.6):
