@@ -18,8 +18,7 @@ the base stations only through a layer of relays:
 from .model import (ConfigError, LagGains, SystemConfig, QuadratureConfig,
                     PACKAGE_VERSION, config_to_mapping, db_to_linear,
                     load_mapping, parse_config)
-from .numerics import (BracketError, ConvergenceError, integrate_periodic,
-                       integrate_periodic_report, uniform_grid)
+from .numerics import ConvergenceError, integrate_periodic, uniform_grid
 from .wyner import (channel_response, rate_mcp, rate_mcp_finite, upper_bound,
                     waterfill, waterfill_finite)
 from .af import (af_rate, af_rate_finite, optimal_gain, relay_output_power,
@@ -32,13 +31,13 @@ from .sweep import (SCHEME_ORDER, SchemeError, SweepSpec, axis_values,
 __version__ = PACKAGE_VERSION
 
 __all__ = [
-    "BracketError", "CfSolution", "ConfigError", "ConvergenceError",
-    "LagGains", "PACKAGE_VERSION", "QuadratureConfig", "SCHEME_ORDER",
-    "SchemeError", "SweepSpec", "SystemConfig", "af_rate", "af_rate_finite",
-    "axis_values", "canonical_schemes", "cf_solve", "channel_response",
-    "config_at", "config_to_mapping", "db_to_linear", "emit", "figure_spec",
-    "integrate_periodic", "integrate_periodic_report", "load_mapping",
-    "optimal_gain", "parse_config", "rate_mcp", "rate_mcp_finite",
-    "relay_output_power", "run_point", "run_sweep", "simulate_relay_power",
-    "uniform_grid", "upper_bound", "waterfill", "waterfill_finite",
+    "CfSolution", "ConfigError", "ConvergenceError", "LagGains",
+    "PACKAGE_VERSION", "QuadratureConfig", "SCHEME_ORDER", "SchemeError",
+    "SweepSpec", "SystemConfig", "af_rate", "af_rate_finite", "axis_values",
+    "canonical_schemes", "cf_solve", "channel_response", "config_at",
+    "config_to_mapping", "db_to_linear", "emit", "figure_spec",
+    "integrate_periodic", "load_mapping", "optimal_gain", "parse_config",
+    "rate_mcp", "rate_mcp_finite", "relay_output_power", "run_point",
+    "run_sweep", "simulate_relay_power", "uniform_grid", "upper_bound",
+    "waterfill", "waterfill_finite",
 ]

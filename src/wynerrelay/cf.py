@@ -51,8 +51,10 @@ def cf_solve(config: SystemConfig) -> CfSolution:
         return CfSolution(rate=0.0, r_star=0.0, residual=0.0 - carried,
                           second_lag_rate=carried)
 
+    first = config.first_lag
+
     def balance(r: float):
-        rate = rate_mcp(config.first_lag, config.rho1 * (1.0 - 2.0 ** (-r)))
+        rate = rate_mcp(first, config.rho1 * (1.0 - 2.0 ** (-r)))
         return rate, rate - (carried - r)
 
     lo, hi = 0.0, carried

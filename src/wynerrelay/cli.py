@@ -16,7 +16,6 @@ from dataclasses import replace
 from .model import (ConfigError, QuadratureConfig, DEFAULT_CONFIG_MAPPING,
                     PACKAGE_VERSION, config_to_mapping, load_mapping,
                     parse_config)
-from .numerics import BracketError, ConvergenceError
 from .sweep import (AXES, SCHEME_ORDER, SchemeError, SweepSpec, canonical_schemes,
                     emit, figure_spec, run_metadata, run_point, run_sweep)
 
@@ -199,15 +198,9 @@ def main(argv=None) -> int:
         _check_run_args(args)
         data = runners[args.command](args)
         _write_output(data, args.output)
-    except ConfigError as exc:
+    except (ConfigError, SchemeError, OSError) as exc:
         print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
-    except (SchemeError, ConvergenceError, BracketError) as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
-        print(f"{parser.prog}: error: {exc}", file=sys.stderr)
-        return 1
+        return 2 if isinstance(exc, SchemeError) else 1
     return 0
 
 

@@ -2,9 +2,11 @@
 
 Every integral in this package runs over one period of a smooth periodic
 integrand, where the uniform-grid trapezoid rule converges spectrally. The
-grid average over n equispaced points is also, bit for bit, the eigenvalue
-average of the corresponding n-cell circular model, which the finite-ring
-cross-checks rely on.
+grids double, so they nest: `DyadicSamples` is the one place that lays out
+the abscissae k/n, and it evaluates each of them once however many grids
+read it. The grid average over n equispaced points is also, bit for bit,
+the eigenvalue average of the corresponding n-cell circular model, which
+the finite-ring cross-checks rely on.
 """
 
 from __future__ import annotations
@@ -24,10 +26,6 @@ class ConvergenceError(ArithmeticError):
         self.best_estimate = best_estimate
 
 
-class BracketError(ValueError):
-    """A root bracket could not be established or made no sense."""
-
-
 def uniform_grid(points: int) -> np.ndarray:
     """Equispaced abscissae k/points for k = 0 .. points-1."""
     if points < 1:
@@ -44,9 +42,45 @@ def _check_cells(cells) -> int:
     return cells
 
 
-def _grid_average(integrand, points: int) -> float:
-    values = np.broadcast_to(np.asarray(integrand(uniform_grid(points)),
-                                        dtype=np.float64), (points,))
+class DyadicSamples:
+    """A sampler's values on the nested grids k/n, each abscissa evaluated once.
+
+    The sampler maps a float64 array of abscissae to one array of the same
+    shape or to a tuple of them. Only the finest grid reached is held. A
+    coarser grid of the same doubling chain is the strided view
+    [::finest // n], bit-identical to sampling it afresh because
+    (2j)/(2n) == j/n exactly in binary floating point. Refining n to 2n
+    evaluates only the n odd abscissae (2j+1)/(2n) and merges the
+    components one at a time, each freeing its halves before the next.
+    """
+
+    def __init__(self, sampler, points: int):
+        self._sampler = sampler
+        first = sampler(uniform_grid(points))
+        self._single = not isinstance(first, tuple)
+        self._finest = [first] if self._single else list(first)
+
+    def __call__(self, points: int):
+        """Values at k/points for k = 0 .. points-1, as views of the memo."""
+        while self._finest[0].size < points:
+            size = self._finest[0].size
+            odd = self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
+            odd = [odd] if self._single else list(odd)
+            for index, coarse in enumerate(self._finest):
+                merged = np.empty(2 * size)
+                merged[0::2] = coarse
+                merged[1::2] = odd[index]
+                odd[index] = coarse = None  # free the halves before the next merge
+                self._finest[index] = merged
+        stride = self._finest[0].size // points
+        views = tuple(values[::stride] for values in self._finest)
+        return views[0] if self._single else views
+
+
+def _grid_average(values, points: int) -> float:
+    # A contiguous copy keeps the reduction order, and so the bits, of a
+    # freshly sampled grid.
+    values = np.ascontiguousarray(values, dtype=np.float64)
     if not np.all(np.isfinite(values)):
         bad = int(np.argmin(np.isfinite(values)))
         raise ValueError(
@@ -54,18 +88,18 @@ def _grid_average(integrand, points: int) -> float:
     return float(np.mean(values))
 
 
-def integrate_periodic_report(integrand, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
+def integrate_periodic_report(values, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
     """Integrate over one period; return (value, points) at convergence.
 
-    The integrand must accept a float64 array of abscissae in [0, 1) and
-    broadcast to its shape. Grids double from initial_points; convergence
+    values(n) gives the integrand at the abscissae k/n, k = 0 .. n-1, as
+    an array of n floats. Grids double from initial_points; convergence
     means successive estimates within rel_tol * max(1, |estimate|).
     """
     points = quadrature.initial_points
-    estimate = _grid_average(integrand, points)
+    estimate = _grid_average(values(points), points)
     while points < quadrature.max_points:
         points *= 2
-        refined = _grid_average(integrand, points)
+        refined = _grid_average(values(points), points)
         if abs(refined - estimate) < quadrature.rel_tol * max(1.0, abs(refined)):
             return refined, points
         estimate = refined
@@ -75,5 +109,13 @@ def integrate_periodic_report(integrand, quadrature: QuadratureConfig = DEFAULT_
 
 
 def integrate_periodic(integrand, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    value, _ = integrate_periodic_report(integrand, quadrature)
+    """Integrate over one period, evaluating the integrand once per abscissa.
+
+    The integrand must accept a float64 array of abscissae in [0, 1) and
+    broadcast to its shape.
+    """
+    samples = DyadicSamples(
+        lambda f: np.broadcast_to(np.asarray(integrand(f), dtype=np.float64), f.shape),
+        quadrature.initial_points)
+    value, _ = integrate_periodic_report(samples, quadrature)
     return value

@@ -6,11 +6,12 @@ infinite ring at SNR rho is the integral over f in [0, 1) of
 log2(1 + rho*H(f)^2). That integral has Wyner's closed form (A. D. Wyner,
 IEEE Trans. IT 40(6), 1994), which follows from Jensen's formula. The
 waterfilled variant optimizes the transmit spectrum under the same average
-power and is integrated by the periodic quadrature on the nested grids k/n,
-whose samples of H and 1/H^2 each waterfill computes once and shares
-between its bracket, constraint and rate integrals. Finite rings of M cells
-have a circulant channel matrix whose eigenvalues are H(m/M), which gives
-an exact cross-check oracle for the integrals.
+power and is integrated by the periodic quadrature; each waterfill keeps
+one `numerics.DyadicSamples` memo of H and 1/H^2, so every sample is
+computed once and shared between its bracket, constraint and rate
+integrals. Finite rings of M cells have a circulant channel matrix whose
+eigenvalues are H(m/M), which gives an exact cross-check oracle for the
+integrals.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE
-from .numerics import (BracketError, ConvergenceError, _check_cells,
-                       integrate_periodic, integrate_periodic_report, uniform_grid)
+from .numerics import (ConvergenceError, DyadicSamples, _check_cells,
+                       integrate_periodic_report, uniform_grid)
 
 _LN2 = math.log(2.0)
 
@@ -38,11 +39,6 @@ def channel_response(lag: LagGains, f):
     f = np.asarray(f, dtype=np.float64)
     response = lag.local + 2.0 * lag.cross * np.cos(2.0 * np.pi * f)
     return float(response) if response.ndim == 0 else response
-
-
-def _rate_samples(lag: LagGains, rho: float, f) -> np.ndarray:
-    h = np.asarray(channel_response(lag, f), dtype=np.float64)
-    return np.log1p(rho * np.square(h)) / _LN2
 
 
 def _check_snr(rho, allow_zero: bool) -> float:
@@ -92,7 +88,8 @@ def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
     """
     rho = _check_snr(rho, allow_zero=True)
     cells = _check_cells(cells)
-    return float(np.mean(_rate_samples(lag, rho, uniform_grid(cells))))
+    gains = np.square(channel_response(lag, uniform_grid(cells)))
+    return float(np.mean(np.log1p(rho * gains) / _LN2))
 
 
 @dataclass(frozen=True)
@@ -110,49 +107,6 @@ def _inverse_response_power(response: np.ndarray) -> np.ndarray:
         inverse = 1.0 / np.square(response)
     np.copyto(inverse, np.inf, where=np.abs(response) < _POLE_GUARD)
     return inverse
-
-
-def _interleave(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
-    merged = np.empty(even.size + odd.size)
-    merged[0::2] = even
-    merged[1::2] = odd
-    return merged
-
-
-class _DyadicSamples:
-    """H and 1/H^2 of one hop on the nested grids k/n, each sample computed once.
-
-    Only the finest grid reached is held. A coarser grid of the same
-    doubling chain is the strided view [::finest // n], bit-identical to
-    sampling it afresh because (2j)/(2n) == j/n exactly in binary floating
-    point. Refining n to 2n evaluates only the n odd abscissae (2j+1)/(2n).
-    """
-
-    def __init__(self, lag: LagGains, points: int):
-        self._lag = lag
-        self._response = channel_response(lag, uniform_grid(points))
-        self._inverse = _inverse_response_power(self._response)
-
-    def _stride(self, points: int) -> int:
-        while self._response.size < points:
-            size = self._response.size
-            odd = channel_response(
-                self._lag, np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
-            odd_inverse = _inverse_response_power(odd)
-            self._response = _interleave(self._response, odd)
-            del odd  # the second merge sets the peak memory
-            self._inverse = _interleave(self._inverse, odd_inverse)
-        return self._response.size // points
-
-    def response(self, points: int) -> np.ndarray:
-        """H(k/points) for k = 0 .. points-1, a view of the memo."""
-        stride = self._stride(points)
-        return self._response[::stride]
-
-    def inverse(self, points: int) -> np.ndarray:
-        """1/H(k/points)^2 for k = 0 .. points-1, a view of the memo."""
-        stride = self._stride(points)
-        return self._inverse[::stride]
 
 
 def _wet_power(level: float, inverse: np.ndarray) -> np.ndarray:
@@ -192,7 +146,7 @@ def waterfill(lag: LagGains, rho,
     spent_power carries no re-discretization noise.
 
     The bracket ladders, the pinned constraint and the rate ladder all read
-    H and 1/H^2 from one memo of the nested grids k/n (_DyadicSamples), so
+    H and 1/H^2 from one memo of the nested grids k/n (DyadicSamples), so
     each sample is computed once, bit-identically to sampling every grid
     afresh.
     """
@@ -200,28 +154,31 @@ def waterfill(lag: LagGains, rho,
     if lag.local == 0.0 and lag.cross == 0.0:
         raise ValueError("waterfilling needs a response that is not identically zero")
 
-    samples = _DyadicSamples(lag, quadrature.initial_points)
+    def floors(f):
+        response = channel_response(lag, f)
+        return response, _inverse_response_power(response)
 
-    # Every integrand is handed uniform_grid(n) and reads the memo at n.
-    def spent_integrand(level):
-        return lambda f: _wet_power(level, samples.inverse(f.size))
+    samples = DyadicSamples(floors, quadrature.initial_points)
+
+    def spent_values(level):
+        return lambda n: _wet_power(level, samples(n)[1])
 
     # Grow the upper level bracket until the constraint is exceeded. The
     # converged report also fixes the grid that resolves the clamp boundary.
     upper = max(rho, 1.0)
     doublings = 0
-    spent_upper, points = integrate_periodic_report(spent_integrand(upper), quadrature)
+    spent_upper, points = integrate_periodic_report(spent_values(upper), quadrature)
     while spent_upper < rho:
         doublings += 1
         if doublings > 1024:
-            raise BracketError(
+            raise ConvergenceError(
                 f"water level exceeded {upper} without spending {rho}; "
-                "the response is too close to identically zero")
+                "the response is too close to identically zero", best_estimate=upper)
         upper *= 2.0
-        spent_upper, points = integrate_periodic_report(spent_integrand(upper), quadrature)
+        spent_upper, points = integrate_periodic_report(spent_values(upper), quadrature)
 
     while True:
-        inverse = samples.inverse(points)
+        inverse = samples(points)[1]
 
         def spent_pinned(level):
             return float(np.mean(_wet_power(level, inverse)))
@@ -229,8 +186,9 @@ def waterfill(lag: LagGains, rho,
         while spent_pinned(upper) < rho:
             doublings += 1
             if doublings > 1024:
-                raise BracketError(
-                    f"water level exceeded {upper} without spending {rho}")
+                raise ConvergenceError(
+                    f"water level exceeded {upper} without spending {rho}",
+                    best_estimate=upper)
             upper *= 2.0
         level = _pinned_level(inverse, rho, upper)
         # Certify the grid at the solved level the same way the doubling
@@ -246,16 +204,16 @@ def waterfill(lag: LagGains, rho,
                 f"{quadrature.max_points} points", best_estimate=level)
         points *= 2
 
-    def rate_integrand(f):
+    def rate_values(n):
         # log2(1 + (level*H^2 - 1)+), in one buffer.
-        gain = np.square(samples.response(f.size))
+        gain = np.square(samples(n)[0])
         gain *= level
         gain -= 1.0
         np.log1p(np.maximum(gain, 0.0, out=gain), out=gain)
         gain /= _LN2
         return gain
 
-    rate = integrate_periodic(rate_integrand, quadrature)
+    rate, _ = integrate_periodic_report(rate_values, quadrature)
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
 
 

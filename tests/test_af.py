@@ -6,9 +6,14 @@ import math
 import numpy as np
 import pytest
 
+import wynerrelay.af
+import wynerrelay.numerics
 from wynerrelay import (
+    QuadratureConfig,
     af_rate,
     af_rate_finite,
+    axis_values,
+    config_at,
     figure_spec,
     optimal_gain,
     parse_config,
@@ -207,6 +212,44 @@ class TestAfRate:
     def test_rejects_unstable_gain(self):
         with pytest.raises(ValueError):
             af_rate(config(), 1.3)
+
+    # float.hex of af_rate at the solved gain, as computed by sampling
+    # every grid afresh: the strongest-echo end of fig3, fig5 at 20 dB and
+    # the echo-free start of fig3.
+    RECORDED = (
+        ("fig3", 16, "0x1.d83308e83b556p+0"),
+        ("fig5", 15, "0x1.f04ce92778864p+1"),
+        ("fig3", 0, "0x1.99d881a9e0766p+1"),
+    )
+
+    def test_bit_identical_to_recorded(self):
+        for name, index, expected in self.RECORDED:
+            spec = figure_spec(name)
+            cfg = config_at(spec, axis_values(spec)[index])
+            assert af_rate(cfg, optimal_gain(cfg).gain).hex() == expected, (name, index)
+
+    def test_each_sample_computed_once(self, monkeypatch):
+        abscissae, grids = [], []
+        samples = wynerrelay.af._af_samples
+        report = wynerrelay.numerics.integrate_periodic_report
+
+        def counting_samples(config, gain, f):
+            abscissae.append(np.array(f, dtype=np.float64, ndmin=1))
+            return samples(config, gain, f)
+
+        def reporting(values, quadrature):
+            value, points = report(values, quadrature)
+            grids.append(points)
+            return value, points
+
+        monkeypatch.setattr(wynerrelay.af, "_af_samples", counting_samples)
+        monkeypatch.setattr(wynerrelay.numerics, "integrate_periodic_report", reporting)
+        cfg = config()
+        af_rate(cfg, optimal_gain(cfg).gain)
+        (final_points,) = grids
+        assert final_points > QuadratureConfig().initial_points
+        np.testing.assert_array_equal(np.sort(np.concatenate(abscissae)),
+                                      uniform_grid(final_points))
 
 
 class TestRingSimulator:

@@ -9,9 +9,9 @@ from wynerrelay import (
     ConvergenceError,
     QuadratureConfig,
     integrate_periodic,
-    integrate_periodic_report,
     uniform_grid,
 )
+from wynerrelay.numerics import DyadicSamples, integrate_periodic_report
 
 TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
 
@@ -54,12 +54,12 @@ class TestIntegratePeriodic:
         def integrand(x):
             return np.log2(1.0 + 10.0 * (1.0 + 0.4 * np.cos(2 * np.pi * x)) ** 2)
 
-        value, points = integrate_periodic_report(integrand, TIGHT)
+        value, points = integrate_periodic_report(lambda n: integrand(uniform_grid(n)), TIGHT)
         assert value == np.mean(integrand(uniform_grid(points)))
 
     def test_doubling_starts_at_initial_points(self):
         _, points = integrate_periodic_report(
-            lambda x: np.ones_like(x), QuadratureConfig(initial_points=128)
+            lambda n: np.ones_like(uniform_grid(n)), QuadratureConfig(initial_points=128)
         )
         assert points == 256
 
@@ -79,3 +79,26 @@ class TestIntegratePeriodic:
 
         with pytest.raises(ValueError, match="f = 0"):
             integrate_periodic(integrand, TIGHT)
+
+
+class TestDyadicSamples:
+    def test_each_abscissa_sampled_once_and_every_grid_exact(self):
+        def components(f):
+            return np.cos(2 * np.pi * f), np.exp(np.sin(2 * np.pi * f))
+
+        seen = []
+
+        def sampler(f):
+            seen.append(f.copy())
+            return components(f)
+
+        samples = DyadicSamples(sampler, 4)
+        finest = 2**10
+        samples(finest)
+        for k in range(11):
+            n = 2**k
+            for got, expected in zip(samples(n), components(uniform_grid(n)), strict=True):
+                np.testing.assert_array_equal(got, expected)
+        sampled = np.concatenate(seen)
+        assert sampled.size == finest
+        np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))

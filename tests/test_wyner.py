@@ -7,13 +7,11 @@ import pytest
 
 import wynerrelay.wyner
 from wynerrelay import (
-    BracketError,
     LagGains,
     QuadratureConfig,
     cf_solve,
     channel_response,
     integrate_periodic,
-    integrate_periodic_report,
     parse_config,
     rate_mcp,
     rate_mcp_finite,
@@ -22,6 +20,7 @@ from wynerrelay import (
     waterfill,
     waterfill_finite,
 )
+from wynerrelay.numerics import integrate_periodic_report
 
 TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
 
@@ -133,7 +132,7 @@ class TestRateMcp:
         def refuse(*args, **kwargs):
             raise AssertionError("the CF path must not integrate numerically")
 
-        monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic", refuse)
+        monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic_report", refuse)
         config = parse_config({"alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2,
                                "mu": 0.4, "power_p": 10.0, "power_q": 100.0,
                                "noise1": 1.0, "noise2": 1.0})
