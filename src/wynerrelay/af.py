@@ -11,13 +11,13 @@ stations jointly process the ring.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE
-from .numerics import _check_cells, integrate_periodic, uniform_grid
+from .model import (SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
+                    _require_finite, _require_integer)
+from .numerics import integrate_periodic, uniform_grid
 
 # The Monte Carlo oracle simulates a fixed ring: 64 cells, unit relay
 # delay, which is plenty for wrap effects to vanish at mu <= 0.8.
@@ -27,11 +27,7 @@ _WARMUP_SYMBOLS = 1000
 
 
 def _check_gain(gain, mu: float) -> float:
-    if isinstance(gain, bool) or not isinstance(gain, numbers.Real):
-        raise ValueError(f"relay gain must be a real number, got {gain!r}")
-    gain = float(gain)
-    if not math.isfinite(gain) or gain < 0.0:
-        raise ValueError(f"relay gain must be finite and nonnegative, got {gain}")
+    gain = _require_finite("relay gain", gain, "nonnegative")
     if mu > 0.0 and 2.0 * mu * gain >= 1.0:
         raise ValueError(
             f"relay gain {gain} is outside the stable region: "
@@ -133,17 +129,12 @@ def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
     signal = config.power_p * gain ** 2 * np.square(first) * np.square(second)
     relay_noise = config.noise1 * gain ** 2 * np.square(second)
     floor = config.noise2 * (1.0 + np.square(echo))
-    # The two radicands are assembled from factored differences so they
-    # stay nonnegative in floating point; the clamp only absorbs roundoff.
+    # The two radicands are products of sums of nonnegative terms, so they
+    # cannot go negative in floating point.
     minus = relay_noise + config.noise2 * np.square(1.0 - echo)
     plus = relay_noise + config.noise2 * np.square(1.0 + echo)
     rad_noise = minus * plus
     rad_total = (signal + minus) * (signal + plus)
-    low = min(float(np.min(rad_noise)), float(np.min(rad_total)))
-    if low < -1e-12:
-        raise ArithmeticError(f"SINR radicand fell to {low}; gain outside domain?")
-    rad_noise = np.maximum(rad_noise, 0.0)
-    rad_total = np.maximum(rad_total, 0.0)
 
     numerator = signal + floor + relay_noise + np.sqrt(rad_total)
     denominator = floor + relay_noise + np.sqrt(rad_noise)
@@ -160,7 +151,7 @@ def af_rate(config: SystemConfig, gain,
 def af_rate_finite(config: SystemConfig, gain, cells: int) -> float:
     """Average of the same per-subchannel rate over an M-cell ring's modes."""
     gain = _check_gain(gain, config.mu)
-    cells = _check_cells(cells)
+    cells = _require_integer("cell count", cells, 3)
     return float(np.mean(_af_samples(config, gain, uniform_grid(cells))))
 
 

@@ -25,12 +25,25 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def _require_finite(name: str, value) -> float:
+def _require_finite(name: str, value, sign: str | None = None) -> float:
+    """The input as a finite float; sign is None, "nonnegative" or "positive"."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
+    if sign is not None and (value < 0.0 or (value == 0.0 and sign == "positive")):
+        raise ConfigError(f"{name} must be {sign}, got {value}")
+    return value
+
+
+def _require_integer(name: str, value, minimum: int) -> int:
+    """The input as an int no smaller than minimum."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    value = int(value)
+    if value < minimum:
+        raise ConfigError(f"{name} must be at least {minimum}, got {value}")
     return value
 
 
@@ -48,16 +61,13 @@ class LagGains:
 
     def __post_init__(self):
         for name in ("local", "cross"):
-            value = _require_finite(name, getattr(self, name))
-            if value < 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
+            value = _require_finite(name, getattr(self, name), "nonnegative")
             object.__setattr__(self, name, value)
 
 
-# Sign and positivity rules per field. Either transmit power may be zero
-# (silent uplink and silent relays are both meaningful limits); the two
-# noise floors must stay strictly positive.
-_NONNEGATIVE = ("alpha", "beta", "gamma", "eta", "mu", "power_p", "power_q")
+# Every field but the two noise floors may be zero: either transmit power
+# may be (silent uplink and silent relays are both meaningful limits),
+# while the noise floors must stay strictly positive.
 _POSITIVE = ("noise1", "noise2")
 
 
@@ -87,16 +97,10 @@ class SystemConfig:
     noise2: float
 
     def __post_init__(self):
-        for name in _NONNEGATIVE:
-            value = _require_finite(name, getattr(self, name))
-            if value < 0.0:
-                raise ConfigError(f"{name} must be nonnegative, got {value}")
-            object.__setattr__(self, name, value)
-        for name in _POSITIVE:
-            value = _require_finite(name, getattr(self, name))
-            if value <= 0.0:
-                raise ConfigError(f"{name} must be positive, got {value}")
-            object.__setattr__(self, name, value)
+        for entry in fields(self):
+            sign = "positive" if entry.name in _POSITIVE else "nonnegative"
+            value = _require_finite(entry.name, getattr(self, entry.name), sign)
+            object.__setattr__(self, entry.name, value)
 
     @property
     def rho1(self) -> float:
@@ -117,10 +121,6 @@ class SystemConfig:
         return LagGains(local=self.gamma, cross=self.eta)
 
 
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
-
-
 @dataclass(frozen=True)
 class QuadratureConfig:
     """Resolution and convergence policy for the periodic quadrature.
@@ -135,18 +135,12 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
-        for name in ("initial_points", "max_points"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ConfigError(f"{name} must be an integer, got {value!r}")
-            object.__setattr__(self, name, int(value))
-        if self.initial_points < 8 or not _is_power_of_two(self.initial_points):
-            raise ConfigError(
-                f"initial_points must be a power of two >= 8, got {self.initial_points}")
-        if self.max_points < self.initial_points or not _is_power_of_two(self.max_points):
-            raise ConfigError(
-                "max_points must be a power of two >= initial_points, "
-                f"got {self.max_points}")
+        initial = _require_integer("initial_points", self.initial_points, 8)
+        maximum = _require_integer("max_points", self.max_points, initial)
+        for name, value in (("initial_points", initial), ("max_points", maximum)):
+            if (value & (value - 1)) != 0:
+                raise ConfigError(f"{name} must be a power of two, got {value}")
+            object.__setattr__(self, name, value)
         rel_tol = _require_finite("rel_tol", self.rel_tol)
         if not 0.0 < rel_tol < 1.0:
             raise ConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")

@@ -11,8 +11,6 @@ the finite-ring cross-checks rely on.
 
 from __future__ import annotations
 
-import numbers
-
 import numpy as np
 
 from .model import QuadratureConfig, DEFAULT_QUADRATURE
@@ -22,7 +20,7 @@ class ConvergenceError(ArithmeticError):
     """An iterative scheme ran out of budget before reaching tolerance."""
 
     def __init__(self, message: str, best_estimate: float):
-        super().__init__(message)
+        super().__init__(f"{message}; best estimate {best_estimate!r}")
         self.best_estimate = best_estimate
 
 
@@ -33,39 +31,28 @@ def uniform_grid(points: int) -> np.ndarray:
     return np.arange(points, dtype=np.float64) / points
 
 
-def _check_cells(cells) -> int:
-    if isinstance(cells, bool) or not isinstance(cells, numbers.Integral):
-        raise ValueError(f"cell count must be an integer, got {cells!r}")
-    cells = int(cells)
-    if cells < 3:
-        raise ValueError(f"a ring needs at least 3 cells, got {cells}")
-    return cells
-
-
 class DyadicSamples:
     """A sampler's values on the nested grids k/n, each abscissa evaluated once.
 
-    The sampler maps a float64 array of abscissae to one array of the same
-    shape or to a tuple of them. Only the finest grid reached is held. A
-    coarser grid of the same doubling chain is the strided view
-    [::finest // n], bit-identical to sampling it afresh because
-    (2j)/(2n) == j/n exactly in binary floating point. Refining n to 2n
-    evaluates only the n odd abscissae (2j+1)/(2n) and merges the
-    components one at a time, each freeing its halves before the next.
+    The sampler maps a float64 array of abscissae to a tuple of arrays of
+    its shape, one per component, and a read returns such a tuple. Only the
+    finest grid reached is held. A coarser grid of the same doubling chain
+    is the strided view [::finest // n], bit-identical to sampling it
+    afresh because (2j)/(2n) == j/n exactly in binary floating point.
+    Refining n to 2n evaluates only the n odd abscissae (2j+1)/(2n) and
+    merges the components one at a time, each freeing its halves before
+    the next.
     """
 
     def __init__(self, sampler, points: int):
         self._sampler = sampler
-        first = sampler(uniform_grid(points))
-        self._single = not isinstance(first, tuple)
-        self._finest = [first] if self._single else list(first)
+        self._finest = list(sampler(uniform_grid(points)))
 
-    def __call__(self, points: int):
+    def __call__(self, points: int) -> tuple:
         """Values at k/points for k = 0 .. points-1, as views of the memo."""
         while self._finest[0].size < points:
             size = self._finest[0].size
-            odd = self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
-            odd = [odd] if self._single else list(odd)
+            odd = list(self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size)))
             for index, coarse in enumerate(self._finest):
                 merged = np.empty(2 * size)
                 merged[0::2] = coarse
@@ -73,8 +60,7 @@ class DyadicSamples:
                 odd[index] = coarse = None  # free the halves before the next merge
                 self._finest[index] = merged
         stride = self._finest[0].size // points
-        views = tuple(values[::stride] for values in self._finest)
-        return views[0] if self._single else views
+        return tuple(values[::stride] for values in self._finest)
 
 
 def _grid_average(values, points: int) -> float:
@@ -115,7 +101,7 @@ def integrate_periodic(integrand, quadrature: QuadratureConfig = DEFAULT_QUADRAT
     broadcast to its shape.
     """
     samples = DyadicSamples(
-        lambda f: np.broadcast_to(np.asarray(integrand(f), dtype=np.float64), f.shape),
+        lambda f: (np.broadcast_to(np.asarray(integrand(f), dtype=np.float64), f.shape),),
         quadrature.initial_points)
-    value, _ = integrate_periodic_report(samples, quadrature)
+    value, _ = integrate_periodic_report(lambda n: samples(n)[0], quadrature)
     return value

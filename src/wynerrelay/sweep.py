@@ -12,7 +12,6 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import numbers
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -22,7 +21,7 @@ from .cf import cf_solve
 from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
-                    _require_finite)
+                    _require_finite, _require_integer)
 from .wyner import rate_mcp_finite, upper_bound, waterfill_finite
 
 AXES = ("mu", "power_p", "power_q", "rho1_db", "rho2_db")
@@ -138,10 +137,7 @@ class SweepSpec:
         if not self.start < self.stop:
             raise ConfigError(
                 f"sweep needs start < stop, got [{self.start}, {self.stop}]")
-        if isinstance(self.points, bool) or \
-                not isinstance(self.points, numbers.Integral) or self.points < 2:
-            raise ConfigError(f"points must be an integer >= 2, got {self.points!r}")
-        object.__setattr__(self, "points", int(self.points))
+        object.__setattr__(self, "points", _require_integer("points", self.points, 2))
         object.__setattr__(self, "schemes", canonical_schemes(self.schemes))
         for value in axis_values(self):
             try:

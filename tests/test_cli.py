@@ -75,14 +75,16 @@ class TestRateCommand:
         assert metadata["oracle_ring_cells"] == 4096
 
     def test_degenerate_configs_return_their_limit(self, tmp_path, capfd):
-        # Silent relays, and relays with no gain toward any base station,
-        # carry nothing: every scheme and the bound are 0.
+        # Silent relays, and relays whose gain toward every base station is
+        # zero or below the pole guard, carry nothing: every scheme and the
+        # bound are 0.
         path = tmp_path / "silent.json"
         path.write_text(json.dumps({
             "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
             "power_p": 10.0, "power_q": 0.0, "noise1": 1.0, "noise2": 1.0,
         }))
-        for flags in (["--config", str(path)], ["--gamma", "0", "--eta", "0"]):
+        for flags in (["--config", str(path)], ["--gamma", "0", "--eta", "0"],
+                      ["--gamma", "1e-200", "--eta", "0"]):
             assert main(["rate", "--format", "json", "--schemes",
                          ALL_SCHEMES_REVERSED, *flags]) == 0
             rates = json.loads(capfd.readouterr().out)["rates"]
@@ -167,6 +169,21 @@ class TestFigureCommand:
 
     def test_unknown_figure(self, capfd):
         assert main(["figure", "fig9"]) == 1
+
+    def test_scheme_override_keeps_full_columns(self, capfd):
+        def columns(flags):
+            assert main(["figure", "fig4", *flags]) == 0
+            header, *rows = capfd.readouterr().out.splitlines()
+            names = header.split(",")
+            return names, {name: [row.split(",")[index] for row in rows]
+                           for index, name in enumerate(names)}
+
+        full_names, full = columns([])
+        names, subset = columns(["--schemes", "af_mu0,cf"])
+        assert full_names == ["axis", "cf", "af", "af_mu0", "upper_bound"]
+        assert names == ["axis", "cf", "af_mu0"]
+        for name in names:
+            assert subset[name] == full[name]
 
 
 class TestConfigHandling:

@@ -9,11 +9,16 @@ from wynerrelay import (
     ConfigError,
     LagGains,
     QuadratureConfig,
+    SweepSpec,
     SystemConfig,
+    af_rate,
     config_to_mapping,
     db_to_linear,
     load_mapping,
     parse_config,
+    rate_mcp,
+    rate_mcp_finite,
+    waterfill,
 )
 
 
@@ -202,3 +207,58 @@ class TestLoadConfig:
         path.write_text("[1, 2, 3]")
         with pytest.raises(ConfigError):
             load_mapping(path)
+
+
+# Every number a caller hands the library is checked by the same two
+# validators, whichever public entry point it reaches first.
+LAG = LagGains(local=1.0, cross=0.2)
+ENTRY_POINTS = {
+    "rate_mcp": lambda value: rate_mcp(LAG, value),
+    "waterfill": lambda value: waterfill(LAG, value),
+    "af_rate": lambda value: af_rate(parse_config(stock_mapping()), value),
+    "rate_mcp_finite": lambda value: rate_mcp_finite(LAG, 10.0, value),
+    "SweepSpec": lambda value: SweepSpec(axis="mu", start=0.0, stop=0.5, points=value,
+                                         base=parse_config(stock_mapping())),
+}
+
+REFUSALS = [
+    ("rate_mcp", True, "SNR must be a real number, got True"),
+    ("rate_mcp", "10", "SNR must be a real number, got '10'"),
+    ("rate_mcp", math.inf, "SNR must be finite, got inf"),
+    ("rate_mcp", math.nan, "SNR must be finite, got nan"),
+    ("rate_mcp", -1.0, "SNR must be nonnegative, got -1.0"),
+    ("rate_mcp", 0.0, None),
+    ("waterfill", True, "SNR must be a real number, got True"),
+    ("waterfill", "10", "SNR must be a real number, got '10'"),
+    ("waterfill", math.inf, "SNR must be finite, got inf"),
+    ("waterfill", math.nan, "SNR must be finite, got nan"),
+    ("waterfill", -1.0, "SNR must be positive, got -1.0"),
+    ("waterfill", 0.0, "SNR must be positive, got 0.0"),
+    ("af_rate", True, "relay gain must be a real number, got True"),
+    ("af_rate", "0.5", "relay gain must be a real number, got '0.5'"),
+    ("af_rate", math.inf, "relay gain must be finite, got inf"),
+    ("af_rate", math.nan, "relay gain must be finite, got nan"),
+    ("af_rate", -0.5, "relay gain must be nonnegative, got -0.5"),
+    ("af_rate", 0.0, None),
+    ("rate_mcp_finite", 2, "cell count must be at least 3, got 2"),
+    ("rate_mcp_finite", 3.0, "cell count must be an integer, got 3.0"),
+    ("rate_mcp_finite", True, "cell count must be an integer, got True"),
+    ("SweepSpec", True, "points must be an integer, got True"),
+    ("SweepSpec", "3", "points must be an integer, got '3'"),
+    ("SweepSpec", math.inf, "points must be an integer, got inf"),
+    ("SweepSpec", math.nan, "points must be an integer, got nan"),
+    ("SweepSpec", -3, "points must be at least 2, got -3"),
+    ("SweepSpec", 0, "points must be at least 2, got 0"),
+]
+
+
+@pytest.mark.parametrize("entry, value, refusal", REFUSALS,
+                         ids=[f"{entry}-{value!r}" for entry, value, _ in REFUSALS])
+def test_entry_points_validate_inputs_alike(entry, value, refusal):
+    if refusal is None:
+        # A zero SNR or relay gain is a silent limit, and carries nothing.
+        assert ENTRY_POINTS[entry](value) == 0.0
+    else:
+        with pytest.raises(ConfigError) as excinfo:
+            ENTRY_POINTS[entry](value)
+        assert str(excinfo.value) == refusal

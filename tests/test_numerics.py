@@ -71,6 +71,9 @@ class TestIntegratePeriodic:
             integrate_periodic(lambda x: np.abs(np.cos(2 * np.pi * x)), quad)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate == pytest.approx(2.0 / math.pi, abs=0.05)
+        assert str(excinfo.value) == (
+            "quadrature did not settle within 16 points; "
+            f"best estimate {excinfo.value.best_estimate!r}")
 
     def test_non_finite_sample_names_abscissa(self):
         def integrand(x):
