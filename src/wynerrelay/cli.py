@@ -14,13 +14,12 @@ import sys
 from dataclasses import replace
 
 from .model import (ConfigError, QuadratureConfig, DEFAULT_CONFIG_MAPPING,
-                    PACKAGE_VERSION, config_to_mapping, load_mapping,
-                    parse_config)
+                    PACKAGE_VERSION, _LINEAR_KEYS, config_to_mapping,
+                    load_mapping, parse_config)
 from .sweep import (AXES, SCHEME_ORDER, SchemeError, SweepSpec, canonical_schemes,
                     emit, figure_spec, run_metadata, run_point, run_sweep)
 
 _FIGURES = ("fig3", "fig4", "fig5")
-_LINEAR_OVERRIDES = ("alpha", "beta", "gamma", "eta", "mu", "noise1", "noise2")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -42,7 +41,7 @@ def _build_parser() -> _Parser:
     group = common.add_argument_group("system configuration")
     group.add_argument("--config", metavar="PATH",
                        help="JSON file with the system configuration")
-    for name in _LINEAR_OVERRIDES:
+    for name in _LINEAR_KEYS:
         group.add_argument(f"--{name}", type=float, metavar="X",
                            help=f"override {name} (linear)")
     group.add_argument("--P-dB", dest="p_db", type=float, metavar="DB",
@@ -96,7 +95,7 @@ def _build_parser() -> _Parser:
 
 
 def _apply_overrides(mapping: dict, args) -> dict:
-    for name in _LINEAR_OVERRIDES:
+    for name in _LINEAR_KEYS:
         value = getattr(args, name)
         if value is not None:
             mapping[name] = value

@@ -149,8 +149,8 @@ class QuadratureConfig:
 
 DEFAULT_QUADRATURE = QuadratureConfig()
 
-_GAIN_KEYS = ("alpha", "beta", "gamma", "eta", "mu")
-_NOISE_KEYS = ("noise1", "noise2")
+# The fields given only in linear form: the gains, then the noise powers.
+_LINEAR_KEYS = ("alpha", "beta", "gamma", "eta", "mu", "noise1", "noise2")
 _POWER_KEYS = {"power_p": "P_dB", "power_q": "Q_dB"}
 
 # The stock operating point used when the CLI is given no configuration.
@@ -176,14 +176,13 @@ def parse_config(source) -> SystemConfig:
     non-finite values. Error messages name the offending key.
     """
     entries = dict(source)
-    known = set(_GAIN_KEYS) | set(_NOISE_KEYS)
-    known |= set(_POWER_KEYS) | set(_POWER_KEYS.values())
+    known = {*_LINEAR_KEYS, *_POWER_KEYS, *_POWER_KEYS.values()}
     unknown = sorted(set(map(str, entries)) - known)
     if unknown:
         raise ConfigError(f"unknown config key(s): {', '.join(unknown)}")
 
     kwargs = {}
-    for key in _GAIN_KEYS + _NOISE_KEYS:
+    for key in _LINEAR_KEYS:
         if key not in entries:
             raise ConfigError(f"missing config key '{key}'")
         kwargs[key] = _require_finite(key, entries[key])

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .model import QuadratureConfig, DEFAULT_QUADRATURE
+from .model import QuadratureConfig, DEFAULT_QUADRATURE, _require_integer
 
 
 class ConvergenceError(ArithmeticError):
@@ -26,8 +26,7 @@ class ConvergenceError(ArithmeticError):
 
 def uniform_grid(points: int) -> np.ndarray:
     """Equispaced abscissae k/points for k = 0 .. points-1."""
-    if points < 1:
-        raise ValueError(f"grid needs at least one point, got {points}")
+    points = _require_integer("grid size", points, 1)
     return np.arange(points, dtype=np.float64) / points
 
 

@@ -199,8 +199,9 @@ class TestAfRate:
         assert rates[0] > rates[1] > rates[2]
 
     def test_noise_radicand_stays_real(self):
-        # 1 + 4g^2 mu^2 cos^2 >= 4 g mu |cos| whenever 2 g mu < 1, so the
-        # noise-term radicand keeps a real square root across the band.
+        # The noise-side square-root arguments m and p of the closed-ratio
+        # form are b_term - c_term and b_term + c_term, so b_term >= |c_term|
+        # is exactly m >= 0 and p >= 0: both roots stay real across the band.
         cfg = config()
         g = optimal_gain(cfg).gain
         c = np.cos(2.0 * np.pi * uniform_grid(4096))

@@ -98,6 +98,24 @@ class TestRateCommand:
         cf = json.loads(capfd.readouterr().out)["rates"]["cf"]
         assert cf == pytest.approx(rate_mcp(LagGains(local=1.0, cross=0.2), 10.0), abs=1e-9)
 
+    def test_af_at_extreme_relay_budget(self, capfd):
+        # The forwarded signal passes 1e154 here, where a product of two
+        # square-root arguments would overflow. With an unbounded budget AF
+        # at mu = 0 reaches the first hop's rate, and AF at the stock mu its
+        # large-budget limit.
+        first_hop = rate_mcp(LagGains(local=1.0, cross=0.2), 10.0)
+        rates = {}
+        for q_db in ("300", "1600"):
+            assert main(["rate", "--Q-dB", q_db, "--schemes", "af,af_mu0",
+                         "--format", "json"]) == 0
+            rates[q_db] = json.loads(capfd.readouterr().out)["rates"]
+        assert rates["1600"]["af_mu0"] == pytest.approx(first_hop, abs=1e-12)
+        assert rates["1600"]["af"] == pytest.approx(rates["300"]["af"], abs=1e-12)
+        assert main(["rate", "--mu", "1e-200", "--Q-dB", "3000", "--schemes", "af",
+                     "--format", "json"]) == 0
+        af = json.loads(capfd.readouterr().out)["rates"]["af"]
+        assert af == pytest.approx(first_hop, abs=1e-12)
+
     def test_af_gain_near_the_echo_pole(self, capfd):
         # 2*mu*g rounds to 1 here; AF then sits at its large-budget limit.
         rates = {}

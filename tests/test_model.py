@@ -18,6 +18,8 @@ from wynerrelay import (
     parse_config,
     rate_mcp,
     rate_mcp_finite,
+    simulate_relay_power,
+    uniform_grid,
     waterfill,
 )
 
@@ -219,6 +221,9 @@ ENTRY_POINTS = {
     "rate_mcp_finite": lambda value: rate_mcp_finite(LAG, 10.0, value),
     "SweepSpec": lambda value: SweepSpec(axis="mu", start=0.0, stop=0.5, points=value,
                                          base=parse_config(stock_mapping())),
+    "uniform_grid": uniform_grid,
+    "simulate_relay_power": lambda value: simulate_relay_power(
+        parse_config(stock_mapping()), 1.0, symbols=value),
 }
 
 REFUSALS = [
@@ -249,6 +254,12 @@ REFUSALS = [
     ("SweepSpec", math.nan, "points must be an integer, got nan"),
     ("SweepSpec", -3, "points must be at least 2, got -3"),
     ("SweepSpec", 0, "points must be at least 2, got 0"),
+    ("uniform_grid", 2.5, "grid size must be an integer, got 2.5"),
+    ("uniform_grid", True, "grid size must be an integer, got True"),
+    ("uniform_grid", 0, "grid size must be at least 1, got 0"),
+    ("simulate_relay_power", True, "symbol count must be an integer, got True"),
+    ("simulate_relay_power", 100.7, "symbol count must be an integer, got 100.7"),
+    ("simulate_relay_power", 0, "symbol count must be at least 1, got 0"),
 ]
 
 

@@ -1,11 +1,14 @@
 """Property tests over the configuration space that validation accepts."""
 
 import math
+from dataclasses import replace
 
 import pytest
 
-from wynerrelay import LagGains, SystemConfig, optimal_gain, rate_mcp, waterfill
+from wynerrelay import (LagGains, SystemConfig, cf_solve, db_to_linear, optimal_gain,
+                        rate_mcp, run_point, waterfill)
 from wynerrelay.model import DEFAULT_QUADRATURE
+from wynerrelay.sweep import SCHEME_ORDER
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -45,3 +48,25 @@ def test_waterfill_spends_budget_and_beats_flat_spectrum(gamma, eta_share, rho):
     assert all(map(math.isfinite, (solution.level, solution.rate, solution.spent_power)))
     assert solution.rate >= rate_mcp(lag, rho) - 1e-9
     assert abs(solution.spent_power - rho) <= DEFAULT_QUADRATURE.rel_tol * max(1.0, rho)
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(alpha=st.floats(0.0, 0.6), beta=st.floats(0.5, 1.5),
+                  mu=st.floats(0.0, 0.9), p_db=st.floats(-10.0, 40.0),
+                  gamma=st.floats(0.5, 1.5), eta_share=st.floats(0.0, 0.45),
+                  q_db=st.floats(5.0, 40.0))
+def test_rates_over_the_rate_query_ranges(alpha, beta, mu, p_db, gamma, eta_share, q_db):
+    # The ranges the benchmark's rate queries draw from. run_point itself
+    # refuses a non-finite or negative value and a rate above upper_bound.
+    config = SystemConfig(alpha=alpha, beta=beta, gamma=gamma, eta=eta_share * gamma,
+                          mu=mu, power_p=db_to_linear(p_db), power_q=db_to_linear(q_db),
+                          noise1=1.0, noise2=1.0)
+    rates = run_point(config, SCHEME_ORDER)
+    assert all(math.isfinite(rate) and rate >= 0.0 for rate in rates.values())
+    # CF never hears the relays' echo.
+    assert cf_solve(replace(config, mu=0.0)).rate == rates["cf"]
+    for stronger in (replace(config, power_p=db_to_linear(p_db + 3.0)),
+                     replace(config, power_q=db_to_linear(q_db + 3.0))):
+        raised = run_point(stronger, SCHEME_ORDER)
+        for name in SCHEME_ORDER:
+            assert raised[name] >= rates[name] - 1e-12, name
