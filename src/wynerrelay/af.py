@@ -133,11 +133,16 @@ def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
     second = config.gamma + 2.0 * config.eta * c
     echo = 2.0 * gain * config.mu * c
 
-    signal = config.power_p * gain ** 2 * np.square(first) * np.square(second)
-    relay_noise = config.noise1 * gain ** 2 * np.square(second)
+    # A gain 2^e*mantissa with e > 0 scales numerator and denominator by 2^(-2e),
+    # so S = P*g^2*H1^2*H2^2 cannot overflow (2^(-2e) itself would, for e << 0).
+    exponent = max(math.frexp(gain)[1], 0)
+    scaled = math.ldexp(gain, -exponent)
+    signal = config.power_p * scaled ** 2 * np.square(first) * np.square(second)
+    relay_noise = config.noise1 * scaled ** 2 * np.square(second)
+    noise2 = config.noise2 * math.ldexp(1.0, -2 * exponent)
     # Sums of nonnegative terms, so every square root below takes a real one.
-    minus = relay_noise + config.noise2 * np.square(1.0 - echo)
-    plus = relay_noise + config.noise2 * np.square(1.0 + echo)
+    minus = relay_noise + noise2 * np.square(1.0 - echo)
+    plus = relay_noise + noise2 * np.square(1.0 + echo)
     return 2.0 * np.log2((np.sqrt(signal + minus) + np.sqrt(signal + plus))
                          / (np.sqrt(minus) + np.sqrt(plus)))
 

@@ -1,12 +1,13 @@
 """Periodic quadrature shared by the rate computations.
 
-Every integral in this package runs over one period of a smooth periodic
-integrand, where the uniform-grid trapezoid rule converges spectrally. The
-grids double, so they nest: `DyadicSamples` is the one place that lays out
-the abscissae k/n, and it evaluates each of them once however many grids
-read it. The grid average over n equispaced points is also, bit for bit,
-the eigenvalue average of the corresponding n-cell circular model, which
-the finite-ring cross-checks rely on.
+The `af_rate` and `waterfill` rates run over one period of a periodic
+integrand, where the uniform-grid trapezoid rule converges spectrally on
+smooth integrands and at second order across the kinks of waterfill's
+clamp. The grids double, so they nest: `DyadicSamples` is the one place
+that lays out the abscissae k/n, and it evaluates each of them once. The
+grid average over n equispaced points is also, bit for bit, the
+eigenvalue average of the corresponding n-cell circular model, which the
+finite-ring cross-checks rely on.
 """
 
 from __future__ import annotations
@@ -33,33 +34,26 @@ def uniform_grid(points: int) -> np.ndarray:
 class DyadicSamples:
     """A sampler's values on the nested grids k/n, each abscissa evaluated once.
 
-    The sampler maps a float64 array of abscissae to a tuple of arrays of
-    its shape, one per component, and a read returns such a tuple. Only the
-    finest grid reached is held. A coarser grid of the same doubling chain
-    is the strided view [::finest // n], bit-identical to sampling it
-    afresh because (2j)/(2n) == j/n exactly in binary floating point.
-    Refining n to 2n evaluates only the n odd abscissae (2j+1)/(2n) and
-    merges the components one at a time, each freeing its halves before
-    the next.
+    The sampler maps a float64 array of abscissae to an array of its shape.
+    Only the finest grid reached is held. A coarser grid of the same
+    doubling chain is the strided view [::finest // n], bit-identical to
+    sampling it afresh because (2j)/(2n) == j/n exactly in binary floating
+    point. Refining n to 2n evaluates only the n odd abscissae (2j+1)/(2n).
     """
 
     def __init__(self, sampler, points: int):
         self._sampler = sampler
-        self._finest = list(sampler(uniform_grid(points)))
+        self._finest = sampler(uniform_grid(points))
 
-    def __call__(self, points: int) -> tuple:
-        """Values at k/points for k = 0 .. points-1, as views of the memo."""
-        while self._finest[0].size < points:
-            size = self._finest[0].size
-            odd = list(self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size)))
-            for index, coarse in enumerate(self._finest):
-                merged = np.empty(2 * size)
-                merged[0::2] = coarse
-                merged[1::2] = odd[index]
-                odd[index] = coarse = None  # free the halves before the next merge
-                self._finest[index] = merged
-        stride = self._finest[0].size // points
-        return tuple(values[::stride] for values in self._finest)
+    def __call__(self, points: int) -> np.ndarray:
+        """Values at k/points for k = 0 .. points-1, as a view of the memo."""
+        while self._finest.size < points:
+            size = self._finest.size
+            merged = np.empty(2 * size)
+            merged[0::2] = self._finest
+            merged[1::2] = self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
+            self._finest = merged
+        return self._finest[::self._finest.size // points]
 
 
 def _grid_average(values, points: int) -> float:
@@ -100,7 +94,7 @@ def integrate_periodic(integrand, quadrature: QuadratureConfig = DEFAULT_QUADRAT
     broadcast to its shape.
     """
     samples = DyadicSamples(
-        lambda f: (np.broadcast_to(np.asarray(integrand(f), dtype=np.float64), f.shape),),
+        lambda f: np.broadcast_to(np.asarray(integrand(f), dtype=np.float64), f.shape),
         quadrature.initial_points)
-    value, _ = integrate_periodic_report(lambda n: samples(n)[0], quadrature)
+    value, _ = integrate_periodic_report(samples, quadrature)
     return value

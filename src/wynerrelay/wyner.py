@@ -6,12 +6,11 @@ infinite ring at SNR rho is the integral over f in [0, 1) of
 log2(1 + rho*H(f)^2). That integral has Wyner's closed form (A. D. Wyner,
 IEEE Trans. IT 40(6), 1994), which follows from Jensen's formula. The
 waterfilled variant optimizes the transmit spectrum under the same average
-power and is integrated by the periodic quadrature; each waterfill keeps
-one `numerics.DyadicSamples` memo of H and 1/H^2, so every sample is
-computed once and shared between its bracket, constraint and rate
-integrals. Finite rings of M cells have a circulant channel matrix whose
-eigenvalues are H(m/M), which gives an exact cross-check oracle for the
-integrals.
+power. Its water level is closed form: H is monotone on each half period,
+so the level wets at most two arcs, whose ends and integrals of 1/H^2 are
+elementary. Its rate is integrated by the periodic quadrature. Finite
+rings of M cells have a circulant channel matrix whose eigenvalues are
+H(m/M), which gives an exact cross-check oracle for the integrals.
 """
 
 from __future__ import annotations
@@ -24,8 +23,7 @@ import numpy as np
 
 from .model import (LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
                     _require_finite, _require_integer)
-from .numerics import (ConvergenceError, DyadicSamples, integrate_periodic_report,
-                       uniform_grid)
+from .numerics import DyadicSamples, integrate_periodic_report, uniform_grid
 
 _LN2 = math.log(2.0)
 
@@ -104,97 +102,99 @@ def _inverse_response_power(response: np.ndarray) -> np.ndarray:
     return inverse
 
 
-def _wet_power(level: float, inverse: np.ndarray) -> np.ndarray:
-    """(level - inverse)+, computed in one buffer."""
-    wet = level - inverse
-    return np.maximum(wet, 0.0, out=wet)
+def _fill_integrals(z: float, one_plus_z: float):
+    """(F, G): F = integral over [0, 1] of dx/(1 + z*x^2), G = (F - 1/(1 + z))/z.
 
-
-def _pinned_level(inverse: np.ndarray, rho: float, upper: float) -> float:
-    """Level nu with mean((nu - inverse)+) = rho, for a bracketing upper.
-
-    The grid constraint is piecewise linear in the level, so it is solved
-    exactly: fill the subchannels below the current level, then drop those
-    the new level leaves dry until none is dropped. The level only falls
-    and the set only shrinks, so the loop ends. A set emptied outright means
-    rho is below the roundoff of the lowest floor, which is then the level.
-    Starting from every finite floor would also converge, but takes 1.3 to
-    4 times longer on clamped grids, where poles leave huge floors.
+    Near z = 0, where G's closed form cancels, both are summed as series.
+    The artanh form for z near -1 needs 1 + z to full precision, so the
+    caller passes it in, formed without cancellation.
     """
-    floors = inverse[inverse < upper]
+    if abs(z) < 0.25:
+        # Series in -z: the terms shrink at least fourfold, so 27 reach the last bit.
+        f = g = 0.0
+        for j in reversed(range(27)):
+            f = f * -z + 1.0 / (2 * j + 1)
+            g = g * -z + (2 * j + 2) / (2 * j + 3)
+        return f, g
+    w = math.sqrt(abs(z))
+    if z > 0.0:
+        f = math.atan(w) / w
+    else:
+        # artanh(w)/w, with 1 - w^2 = 1 + z.
+        f = (math.log1p(w) - 0.5 * math.log(one_plus_z)) / w
+    return f, (f - 1.0 / one_plus_z) / z
+
+
+def _arc(a: float, c: float, t: float):
+    """(length, integral of 1/H^2) where H = a + c*cos(theta) > t, theta in [0, pi].
+
+    H falls on [0, pi], so that set is empty, all of [0, pi], or an arc
+    [0, theta_e] with H(theta_e) = t. With u = tan(theta_e/2), p = a + c and
+    z = ((a - c)/p)*u^2, the half-angle substitution gives the integral as
+    (u/p^2)*(F(z) + 1/(1 + z) + u^2*G(z)). u^2 and 1 + z come from
+    H(theta_e) = t, not from theta_e, which keeps their digits when the arc
+    ends near a zero of H.
+    """
+    p, q = a + c, a - c
+    if p <= t:
+        return 0.0, 0.0
+    if q >= t:
+        # pi*a/(p*q)^(3/2), formed without overflow.
+        return math.pi, math.pi * (a / p) / q / (p * math.sqrt(q / p))
+    gap = t - q
+    u2 = (p - t) / gap
+    one_plus_z = 2.0 * (c / p) * (t / gap)
+    f, g = _fill_integrals((q / p) * u2, one_plus_z)
+    u = math.sqrt(u2)
+    return 2.0 * math.atan(u), u / p / p * (f + 1.0 / one_plus_z + u2 * g)
+
+
+def _water_level(lag: LagGains, rho: float):
+    """(level, spent power) of the waterfill, solved on the wet arcs.
+
+    Over theta in [0, pi] the level nu wets |H| > t = nu^(-1/2): the arcs
+    H > t and, as H > t with the local gain negated, H < -t. With W their
+    length and I their integral of 1/H^2 it spends (nu*W - I)/pi. The fill
+    update nu <- (pi*rho + I)/W is Newton on that convex, increasing spend:
+    from the level that wets half the peak it lands at or above the root,
+    then falls until it no longer does. A wet set emptied outright means
+    rho is below the roundoff of the lowest floor, which is then the level.
+    """
+    def wet(level):
+        a, c, t = lag.local, 2.0 * lag.cross, 1.0 / math.sqrt(level)
+        (upper, upper_inverse), (lower, lower_inverse) = _arc(a, c, t), _arc(-a, c, t)
+        return upper + lower, upper_inverse + lower_inverse
+
+    length, inverse = wet((2.0 / (lag.local + 2.0 * lag.cross)) ** 2)
+    level = (math.pi * rho + inverse) / length
     while True:
-        level = float((inverse.size * rho + floors.sum()) / floors.size)
-        wet = floors[floors < level]
-        if wet.size in (0, floors.size):
-            return level
-        floors = wet
+        length, inverse = wet(level)
+        if length == 0.0:
+            return level, 0.0
+        refined = (math.pi * rho + inverse) / length
+        if refined >= level:
+            return level, (level * length - inverse) / math.pi
+        level = refined
 
 
 def waterfill(lag: LagGains, rho,
               quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> WaterfillSolution:
     """Waterfilled per-cell sum-rate over the hop's spatial spectrum.
 
-    Solves for the water level nu with integral of (nu - 1/H^2)+ equal to
-    rho, then integrates log2(1 + (nu - 1/H^2)+ H^2). The constraint integral
-    is pinned to the grid certified by the doubling quadrature, where it is
-    piecewise linear in the level and solved exactly, so the reported
-    spent_power carries no re-discretization noise.
-
-    The bracket ladders, the pinned constraint and the rate ladder all read
-    H and 1/H^2 from one memo of the nested grids k/n (DyadicSamples), so
-    each sample is computed once, bit-identically to sampling every grid
-    afresh.
+    The water level is closed form on the wet arcs (`_water_level`); the
+    rate log2(1 + (level*H^2 - 1)+) is integrated by the periodic quadrature
+    from one DyadicSamples memo of H, so each sample is computed once.
     """
     rho = _require_finite("SNR", rho, "positive")
     if _silent(lag):
         raise ValueError(
             f"waterfilling needs a response reaching {_POLE_GUARD} somewhere, got {lag}")
-
-    def floors(f):
-        response = channel_response(lag, f)
-        return response, _inverse_response_power(response)
-
-    samples = DyadicSamples(floors, quadrature.initial_points)
-
-    def spent_values(level):
-        return lambda n: _wet_power(level, samples(n)[1])
-
-    # Grow the upper level bracket until the constraint is exceeded. The
-    # converged report also fixes the grid that resolves the clamp boundary.
-    # Neither growth loop runs away: from upper >= 1, doubling reaches inf
-    # within 1024 steps, where the ladder refuses non-finite samples and the
-    # pinned spend is inf or nan, never below rho.
-    upper = max(rho, 1.0)
-    spent_upper, points = integrate_periodic_report(spent_values(upper), quadrature)
-    while spent_upper < rho:
-        upper *= 2.0
-        spent_upper, points = integrate_periodic_report(spent_values(upper), quadrature)
-
-    while True:
-        inverse = samples(points)[1]
-
-        def spent_pinned(level):
-            return float(np.mean(_wet_power(level, inverse)))
-
-        while spent_pinned(upper) < rho:
-            upper *= 2.0
-        level = _pinned_level(inverse, rho, upper)
-        # Certify the grid at the solved level the same way the doubling
-        # quadrature certifies its own pairs: every second grid point is
-        # exactly the half-resolution grid.
-        coarse = float(np.mean(_wet_power(level, inverse[::2])))
-        spent = spent_pinned(level)
-        if abs(spent - coarse) < quadrature.rel_tol * max(1.0, abs(spent)):
-            break
-        if points >= quadrature.max_points:
-            raise ConvergenceError(
-                f"waterfilling constraint grid did not settle within "
-                f"{quadrature.max_points} points", best_estimate=level)
-        points *= 2
+    level, spent = _water_level(lag, rho)
+    samples = DyadicSamples(lambda f: channel_response(lag, f), quadrature.initial_points)
 
     def rate_values(n):
         # log2(1 + (level*H^2 - 1)+), in one buffer.
-        gain = np.square(samples(n)[0])
+        gain = np.square(samples(n))
         gain *= level
         gain -= 1.0
         np.log1p(np.maximum(gain, 0.0, out=gain), out=gain)

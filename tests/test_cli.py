@@ -116,6 +116,24 @@ class TestRateCommand:
         af = json.loads(capfd.readouterr().out)["rates"]["af"]
         assert af == pytest.approx(first_hop, abs=1e-12)
 
+    def test_af_where_the_forwarded_signal_overflows(self, capfd):
+        # S = P*g^2*H1^2*H2^2 itself passes the largest double here.
+        first_hop = rate_mcp(LagGains(local=1.0, cross=0.2), 10.0)
+        for q_db in ("3080", "3082"):
+            assert main(["rate", "--Q-dB", q_db, "--schemes", "af_mu0",
+                         "--format", "json"]) == 0
+            af_mu0 = json.loads(capfd.readouterr().out)["rates"]["af_mu0"]
+            assert af_mu0 == pytest.approx(first_hop, abs=1e-12), q_db
+
+    def test_upper_bound_at_extreme_relay_snr(self, capfd):
+        # The waterfilled second hop's level is near 1e307 here; the first
+        # hop caps the bound.
+        assert main(["rate", "--Q-dB", "3070", "--schemes", "upper_bound",
+                     "--format", "json"]) == 0
+        bound = json.loads(capfd.readouterr().out)["rates"]["upper_bound"]
+        assert bound == pytest.approx(rate_mcp(LagGains(local=1.0, cross=0.2), 10.0),
+                                      abs=1e-12)
+
     def test_af_gain_near_the_echo_pole(self, capfd):
         # 2*mu*g rounds to 1 here; AF then sits at its large-budget limit.
         rates = {}

@@ -86,22 +86,21 @@ class TestIntegratePeriodic:
 
 class TestDyadicSamples:
     def test_each_abscissa_sampled_once_and_every_grid_exact(self):
-        def components(f):
-            return np.cos(2 * np.pi * f), np.exp(np.sin(2 * np.pi * f))
+        def values(f):
+            return np.exp(np.sin(2 * np.pi * f))
 
         seen = []
 
         def sampler(f):
             seen.append(f.copy())
-            return components(f)
+            return values(f)
 
         samples = DyadicSamples(sampler, 4)
         finest = 2**10
         samples(finest)
         for k in range(11):
             n = 2**k
-            for got, expected in zip(samples(n), components(uniform_grid(n)), strict=True):
-                np.testing.assert_array_equal(got, expected)
+            np.testing.assert_array_equal(samples(n), values(uniform_grid(n)))
         sampled = np.concatenate(seen)
         assert sampled.size == finest
         np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))

@@ -9,6 +9,7 @@ from wynerrelay import (LagGains, SystemConfig, cf_solve, db_to_linear, optimal_
                         rate_mcp, run_point, waterfill)
 from wynerrelay.model import DEFAULT_QUADRATURE
 from wynerrelay.sweep import SCHEME_ORDER
+from wynerrelay.wyner import _water_level
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -70,3 +71,17 @@ def test_rates_over_the_rate_query_ranges(alpha, beta, mu, p_db, gamma, eta_shar
         raised = run_point(stronger, SCHEME_ORDER)
         for name in SCHEME_ORDER:
             assert raised[name] >= rates[name] - 1e-12, name
+
+
+@hypothesis.settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@hypothesis.given(gamma=st.floats(min_value=0.5, max_value=1.5),
+                  eta_share=st.floats(min_value=0.0, max_value=2.0),
+                  q_db=st.floats(min_value=-10.0, max_value=100.0))
+def test_water_level_spends_budget_on_second_hops_with_nulls(gamma, eta_share, q_db):
+    # eta above gamma/2 puts a null of H inside the band. Only the level is
+    # drawn here: the rate's trapezoid ladder does not settle within its
+    # 2^22 points on many clamped hops above about 60 dB (ROADMAP item 6).
+    lag = LagGains(local=gamma, cross=eta_share * gamma)
+    rho = db_to_linear(q_db)
+    _, spent = _water_level(lag, rho)
+    assert abs(spent - rho) <= 1e-13 * rho

@@ -215,30 +215,69 @@ class TestWaterfill:
         solution = waterfill(LagGains(local=1.0, cross=0.6), 31.6227766)
         assert solution.spent_power == pytest.approx(31.6227766, abs=1e-9)
 
-    # float.hex of (level, rate, spent_power) as computed by sampling every
-    # grid afresh: a smooth hop, two clamped hops of the seed-1 rate
-    # queries of the benchmark, and a near null.
+    # float.hex of (level, rate, spent_power): a smooth hop, two clamped
+    # hops of the seed-1 rate queries of the benchmark, and a near null.
+    # Last, the rate recorded while the level was solved on the quadrature
+    # grid; the rate must stay within 1e-11 of it.
     RECORDED = (
         ((1.0, 0.2), 100.0,
-         ("0x1.9532170a15a8ep+6", "0x1.a286475191f42p+2", "0x1.9000000000000p+6")),
+         ("0x1.9532170a15a8fp+6", "0x1.a286475191f44p+2", "0x1.9000000000000p+6"),
+         "0x1.a286475191f42p+2"),
         ((0.519594, 0.196274), 3.1646085710903087,
-         ("0x1.e5309acbfdc1ep+2", "0x1.2269998731925p+0", "0x1.9511e4c6bcb17p+1")),
+         ("0x1.e5309acc0a138p+2", "0x1.22699987377bbp+0", "0x1.9511e4c6bcb18p+1"),
+         "0x1.2269998731925p+0"),
         ((1.405169, 0.519564), 3.311539960001644,
-         ("0x1.2f95fcdc204c8p+2", "0x1.6297043a8e1f9p+1", "0x1.a7e08a99cd56cp+1")),
+         ("0x1.2f95fcdc1ea48p+2", "0x1.6297043a8d40ap+1", "0x1.a7e08a99cd56ap+1"),
+         "0x1.6297043a8e1f9p+1"),
         ((1.0, 0.6), 31.6227766,
-         ("0x1.5a5abc5b5c860p+5", "0x1.19417ecf2047ep+2", "0x1.f9f6e4989b6cep+4")),
+         ("0x1.5a5abc5b608b1p+5", "0x1.19417ecf212e6p+2", "0x1.f9f6e4989b6cbp+4"),
+         "0x1.19417ecf2047ep+2"),
     )
 
     def test_bit_identical_to_recorded(self):
-        for (local, cross), rho, expected in self.RECORDED:
+        for (local, cross), rho, expected, grid_rate in self.RECORDED:
             solution = waterfill(LagGains(local=local, cross=cross), rho)
             got = (solution.level.hex(), solution.rate.hex(),
                    solution.spent_power.hex())
             assert got == expected, (local, cross, rho)
+            assert abs(solution.rate - float.fromhex(grid_rate)) <= 1e-11, (local, cross, rho)
+
+    def test_level_matches_arcwise_mpmath(self):
+        # The level at 40 digits: mp.quad of 1/H^2 over the arcs where
+        # |H| > level^(-1/2), with the fill update iterated to convergence.
+        mpmath = pytest.importorskip("mpmath")
+        cases = [(lag, rho) for lag, rho, _, _ in self.RECORDED]
+        cases.append(((1.0, 0.5), 1e4))
+        with mpmath.workdps(40):
+            for (local, cross), rho in cases:
+                a, c, rho_mp = mpmath.mpf(local), 2 * mpmath.mpf(cross), mpmath.mpf(rho)
+                level = (2 / (a + c)) ** 2
+                for _ in range(100):
+                    t, length, inverse = 1 / mpmath.sqrt(level), 0, 0
+                    for sign in (1, -1):
+                        if sign * a + c > t:
+                            end = (mpmath.pi if sign * a - c >= t
+                                   else mpmath.acos((t - sign * a) / c))
+                            length += end
+                            inverse += mpmath.quad(
+                                lambda theta: 1 / (sign * a + c * mpmath.cos(theta)) ** 2,
+                                [0, end])
+                    level, previous = (mpmath.pi * rho_mp + inverse) / length, level
+                    if abs(level - previous) < mpmath.mpf(10) ** -35 * level:
+                        break
+                got = waterfill(LagGains(local=local, cross=cross), rho).level
+                assert abs(got - level) <= 1e-14 * level, (local, cross, rho)
+
+    def test_deep_nulls_at_high_snr(self):
+        # The level needs no grid, so a hop with a null needs none that
+        # resolves the clamp at the null.
+        for lag, rho in ((LagGains(local=1.0, cross=0.6), 1e8),
+                         (LagGains(local=1.0, cross=0.5), 1e15)):
+            assert waterfill(lag, rho).rate == pytest.approx(
+                waterfill_finite(lag, rho, 2**21), abs=2e-9), (lag, rho)
 
     def test_each_response_sample_computed_once(self, monkeypatch):
         abscissae, grids = [], []
-        pinned_level = wynerrelay.wyner._pinned_level
 
         def counting_response(lag, f):
             abscissae.append(np.array(f, dtype=np.float64, ndmin=1))
@@ -249,16 +288,11 @@ class TestWaterfill:
             grids.append(points)
             return value, points
 
-        def pinned(inverse, rho, upper):
-            grids.append(inverse.size)
-            return pinned_level(inverse, rho, upper)
-
         monkeypatch.setattr(wynerrelay.wyner, "channel_response", counting_response)
         monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic_report", reporting)
-        monkeypatch.setattr(wynerrelay.wyner, "_pinned_level", pinned)
-        # A clamped hop: its constraint grid goes well past the first ladder.
+        # A clamped hop: its rate ladder goes well past the first grid.
         waterfill(LagGains(local=0.519594, cross=0.196274), 3.1646085710903087)
-        finest = max(grids)
+        (finest,) = grids
         sampled = np.concatenate(abscissae)
         assert finest >= 2**16
         assert sampled.size == finest
