@@ -9,6 +9,7 @@ configuration problems, 2 when a numerical routine fails to converge.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import replace
@@ -36,6 +37,11 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+# Built on first use and kept for the process: main() may be called many
+# times, and parse_args returns a fresh Namespace each time. Help, usage
+# and error output read sys.stdout, sys.stderr and the terminal width when
+# they are printed, not when the parser is built.
+@functools.cache
 def _build_parser() -> _Parser:
     common = _Parser(add_help=False)
     group = common.add_argument_group("system configuration")

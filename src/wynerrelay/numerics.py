@@ -49,9 +49,12 @@ class DyadicSamples:
         """Values at k/points for k = 0 .. points-1, as a view of the memo."""
         while self._finest.size < points:
             size = self._finest.size
+            # Sampled before the merged grid exists, so that the sampler's
+            # temporaries and the merged array are never alive together.
+            odd = self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
             merged = np.empty(2 * size)
             merged[0::2] = self._finest
-            merged[1::2] = self._sampler(np.arange(1, 2 * size, 2, dtype=np.float64) / (2 * size))
+            merged[1::2] = odd
             self._finest = merged
         return self._finest[::self._finest.size // points]
 

@@ -182,26 +182,27 @@ def waterfill(lag: LagGains, rho,
     """Waterfilled per-cell sum-rate over the hop's spatial spectrum.
 
     The water level is closed form on the wet arcs (`_water_level`); the
-    rate log2(1 + (level*H^2 - 1)+) is integrated by the periodic quadrature
-    from one DyadicSamples memo of H, so each sample is computed once.
+    rate is integrated by the periodic quadrature from one DyadicSamples
+    memo of its integrand log2(1 + (level*H^2 - 1)+), so each abscissa's
+    response and rate are computed once.
     """
     rho = _require_finite("SNR", rho, "positive")
     if _silent(lag):
         raise ValueError(
             f"waterfilling needs a response reaching {_POLE_GUARD} somewhere, got {lag}")
     level, spent = _water_level(lag, rho)
-    samples = DyadicSamples(lambda f: channel_response(lag, f), quadrature.initial_points)
 
-    def rate_values(n):
+    def rate_values(f):
         # log2(1 + (level*H^2 - 1)+), in one buffer.
-        gain = np.square(samples(n))
+        gain = np.square(channel_response(lag, f))
         gain *= level
         gain -= 1.0
         np.log1p(np.maximum(gain, 0.0, out=gain), out=gain)
         gain /= _LN2
         return gain
 
-    rate, _ = integrate_periodic_report(rate_values, quadrature)
+    rate, _ = integrate_periodic_report(
+        DyadicSamples(rate_values, quadrature.initial_points), quadrature)
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import wynerrelay
 import wynerrelay.sweep
-from wynerrelay import PACKAGE_VERSION, LagGains, rate_mcp
+from wynerrelay import PACKAGE_VERSION, LagGains, cli, rate_mcp
 from wynerrelay.cli import main
 
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
@@ -289,6 +289,49 @@ class TestExitCodes:
     def test_version(self, capfd):
         assert main(["--version"]) == 0
         assert PACKAGE_VERSION in capfd.readouterr().out
+
+
+DATA = Path(__file__).parent / "data"
+# One process's calls, in an order that lets state left over from one call
+# (a flag's value, an error, an early exit) show in the next.
+REUSE_SEQUENCE = [
+    ["rate", "--P-dB", "60", "--verbose", "--quad-tol", "1e-8", "--format", "json"],
+    ["rate"],
+    ["rate", "--P-d", "60"],
+    ["--version"],
+    ["figure", "fig3"],
+    ["rate"],
+]
+HELP_SCREENS = {"main": [], "rate": ["rate"], "sweep": ["sweep"], "figure": ["figure"]}
+
+
+class TestParserReuse:
+    @staticmethod
+    def run(argv, capfd):
+        code = main(argv)
+        captured = capfd.readouterr()
+        return code, captured.out, captured.err
+
+    def test_calls_share_one_parser_and_no_state(self, monkeypatch, capfd):
+        monkeypatch.setattr(cli, "_build_parser", cli._build_parser.__wrapped__)
+        fresh = [self.run(argv, capfd) for argv in REUSE_SEQUENCE]
+        monkeypatch.undo()
+        cli._build_parser.cache_clear()
+        reused = [self.run(argv, capfd) for argv in REUSE_SEQUENCE]
+        assert cli._build_parser.cache_info().misses == 1
+        assert reused == fresh
+        assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0]
+        assert reused[4][1] == (DATA / "fig3_golden.csv").read_text()
+
+    @pytest.mark.parametrize("screen", HELP_SCREENS)
+    def test_help_matches_recorded_screen(self, screen, monkeypatch, capfd):
+        # The screens were recorded at 80 columns; argparse reads the width
+        # from COLUMNS each time it formats help.
+        monkeypatch.setenv("COLUMNS", "80")
+        recorded = (DATA / f"help_{screen}.txt").read_text()
+        cli._build_parser.cache_clear()
+        for _ in range(2):
+            assert self.run([*HELP_SCREENS[screen], "--help"], capfd) == (0, recorded, "")
 
 
 def child_environment():

@@ -1,6 +1,7 @@
 """Periodic quadrature."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +105,17 @@ class TestDyadicSamples:
         sampled = np.concatenate(seen)
         assert sampled.size == finest
         np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))
+
+    def test_doubling_allocates_at_most_three_old_grids(self):
+        # The new odd samples and the merged grid of twice the size; the
+        # sampler's abscissae and temporaries are gone before the merged
+        # grid exists.
+        size = 2**16
+        samples = DyadicSamples(np.cos, size)
+        tracemalloc.start()
+        try:
+            samples(2 * size)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.25 * size * 8
