@@ -15,8 +15,8 @@ import sys
 from dataclasses import replace
 
 from .model import (ConfigError, QuadratureConfig, DEFAULT_CONFIG_MAPPING,
-                    PACKAGE_VERSION, _LINEAR_KEYS, config_to_mapping,
-                    load_mapping, parse_config)
+                    DEFAULT_QUADRATURE, PACKAGE_VERSION, _LINEAR_KEYS,
+                    config_to_mapping, load_mapping, parse_config)
 from .sweep import (AXES, SCHEME_ORDER, SchemeError, SweepSpec, canonical_schemes,
                     emit, figure_spec, run_metadata, run_point, run_sweep)
 
@@ -125,7 +125,8 @@ def _config_from_args(args, base_mapping=None):
 
 
 def _quadrature_from_args(args) -> QuadratureConfig:
-    return QuadratureConfig(initial_points=min(64, args.quad_max_points),
+    return QuadratureConfig(initial_points=min(DEFAULT_QUADRATURE.initial_points,
+                                               args.quad_max_points),
                             max_points=args.quad_max_points,
                             rel_tol=args.quad_tol)
 
@@ -172,6 +173,9 @@ def _run_sweep(args) -> bytes:
 
 
 def _run_figure(args) -> bytes:
+    if args.config is not None:
+        raise ConfigError("figure does not read --config: it starts from its preset, "
+                          "which the field flags may override")
     spec = figure_spec(args.name)
     base = _config_from_args(args, base_mapping=config_to_mapping(spec.base))
     spec = replace(spec, base=base)

@@ -135,12 +135,15 @@ class QuadratureConfig:
     rel_tol: float = 1e-10
 
     def __post_init__(self):
+        # max_points first: the CLI sets only it and derives initial_points,
+        # so a refusal should name the field the user gave.
+        maximum = _require_integer("max_points", self.max_points, 8)
         initial = _require_integer("initial_points", self.initial_points, 8)
-        maximum = _require_integer("max_points", self.max_points, initial)
-        for name, value in (("initial_points", initial), ("max_points", maximum)):
+        for name, value in (("max_points", maximum), ("initial_points", initial)):
             if (value & (value - 1)) != 0:
                 raise ConfigError(f"{name} must be a power of two, got {value}")
             object.__setattr__(self, name, value)
+        _require_integer("max_points", maximum, initial)
         rel_tol = _require_finite("rel_tol", self.rel_tol)
         if not 0.0 < rel_tol < 1.0:
             raise ConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")

@@ -23,7 +23,7 @@ import numpy as np
 
 from .model import (LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
                     _require_finite, _require_integer)
-from .numerics import DyadicSamples, integrate_periodic_report, uniform_grid
+from .numerics import integrate_periodic_report, uniform_grid
 
 _LN2 = math.log(2.0)
 
@@ -182,9 +182,9 @@ def waterfill(lag: LagGains, rho,
     """Waterfilled per-cell sum-rate over the hop's spatial spectrum.
 
     The water level is closed form on the wet arcs (`_water_level`); the
-    rate is integrated by the periodic quadrature from one DyadicSamples
-    memo of its integrand log2(1 + (level*H^2 - 1)+), so each abscissa's
-    response and rate are computed once.
+    rate's integrand log2(1 + (level*H^2 - 1)+) goes straight to the
+    periodic quadrature, which samples each abscissa's response and rate
+    once.
     """
     rho = _require_finite("SNR", rho, "positive")
     if _silent(lag):
@@ -201,8 +201,7 @@ def waterfill(lag: LagGains, rho,
         gain /= _LN2
         return gain
 
-    rate, _ = integrate_periodic_report(
-        DyadicSamples(rate_values, quadrature.initial_points), quadrature)
+    rate, _ = integrate_periodic_report(rate_values, quadrature)
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
 
 

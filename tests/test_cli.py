@@ -259,6 +259,19 @@ class TestConfigHandling:
     def test_missing_config_file(self, capfd):
         assert main(["rate", "--config", "/does/not/exist.json"]) == 1
 
+    def test_figure_refuses_config_file(self, tmp_path, capfd):
+        # A preset would otherwise run as if the file were not there.
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps({
+            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
+            "P_dB": 10.0, "Q_dB": 20.0, "noise1": 1.0, "noise2": 1.0,
+        }))
+        for config in (str(path), "/does/not/exist.json"):
+            assert main(["figure", "fig3", "--config", config]) == 1
+            captured = capfd.readouterr()
+            assert captured.out == ""
+            assert "--config" in captured.err
+
     def test_invalid_field_value(self, capfd):
         assert main(["rate", "--mu", "-0.4"]) == 1
         assert "mu" in capfd.readouterr().err
@@ -274,7 +287,12 @@ class TestExitCodes:
         assert capfd.readouterr().err != ""
 
     def test_bad_quadrature_is_usage_error(self, capfd):
-        assert main(["rate", "--quad-max-points", "48"]) == 1
+        # The refusal names the ceiling the user set, not the first grid
+        # derived from it.
+        for points, message in (("48", "max_points must be a power of two, got 48"),
+                                ("4", "max_points must be at least 8, got 4")):
+            assert main(["rate", "--quad-max-points", points]) == 1
+            assert capfd.readouterr().err == f"wynerrelay: error: {message}\n"
 
     def test_bad_jobs_and_seed(self, capfd):
         assert main(["figure", "fig3", "--jobs", "0"]) == 1

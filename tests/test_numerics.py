@@ -12,7 +12,7 @@ from wynerrelay import (
     integrate_periodic,
     uniform_grid,
 )
-from wynerrelay.numerics import DyadicSamples, integrate_periodic_report
+from wynerrelay.numerics import integrate_periodic_report
 
 TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
 
@@ -55,13 +55,11 @@ class TestIntegratePeriodic:
         def integrand(x):
             return np.log2(1.0 + 10.0 * (1.0 + 0.4 * np.cos(2 * np.pi * x)) ** 2)
 
-        value, points = integrate_periodic_report(lambda n: integrand(uniform_grid(n)), TIGHT)
+        value, points = integrate_periodic_report(integrand, TIGHT)
         assert value == np.mean(integrand(uniform_grid(points)))
 
     def test_doubling_starts_at_initial_points(self):
-        _, points = integrate_periodic_report(
-            lambda n: np.ones_like(uniform_grid(n)), QuadratureConfig(initial_points=128)
-        )
+        _, points = integrate_periodic_report(np.ones_like, QuadratureConfig(initial_points=128))
         assert points == 256
 
     def test_unconverged_raises_with_best_estimate(self):
@@ -85,10 +83,11 @@ class TestIntegratePeriodic:
             integrate_periodic(integrand, TIGHT)
 
 
-class TestDyadicSamples:
+class TestNestedGrids:
     def test_each_abscissa_sampled_once_and_every_grid_exact(self):
+        # The kink at x = 1/4 keeps the ladder climbing to max_points.
         def values(f):
-            return np.exp(np.sin(2 * np.pi * f))
+            return np.abs(np.cos(2 * np.pi * f))
 
         seen = []
 
@@ -96,26 +95,25 @@ class TestDyadicSamples:
             seen.append(f.copy())
             return values(f)
 
-        samples = DyadicSamples(sampler, 4)
         finest = 2**10
-        samples(finest)
-        for k in range(11):
-            n = 2**k
-            np.testing.assert_array_equal(samples(n), values(uniform_grid(n)))
+        quad = QuadratureConfig(initial_points=8, max_points=finest)
+        with pytest.raises(ConvergenceError) as excinfo:
+            integrate_periodic_report(sampler, quad)
+        assert excinfo.value.best_estimate == np.mean(values(uniform_grid(finest)))
         sampled = np.concatenate(seen)
         assert sampled.size == finest
         np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))
 
-    def test_doubling_allocates_at_most_three_old_grids(self):
-        # The new odd samples and the merged grid of twice the size; the
-        # sampler's abscissae and temporaries are gone before the merged
-        # grid exists.
+    def test_doubling_allocates_at_most_four_old_grids(self):
+        # The old grid, the new odd samples and the merged grid of twice the
+        # size; the sampler's abscissae and temporaries are gone before the
+        # merged grid exists. Allocating it first would make five.
         size = 2**16
-        samples = DyadicSamples(np.cos, size)
         tracemalloc.start()
         try:
-            samples(2 * size)
+            integrate_periodic_report(np.cos, QuadratureConfig(
+                initial_points=size, max_points=2 * size, rel_tol=0.5))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 3.25 * size * 8
+        assert peak <= 4.25 * size * 8
