@@ -11,13 +11,18 @@ transmitted and cancel it before quantizing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import SystemConfig
-from .wyner import rate_mcp
+from .wyner import _LN2, rate_mcp, rate_mcp_slope
 
 # Balance tolerance and relative bracket width at which the solve stops.
 _TOL = 1e-10
+
+# Newton steps that narrow the replay's zone. The replay is exact however
+# wide the zone is left, so this bounds only the work.
+_NEWTON_STEPS = 40
 
 
 @dataclass(frozen=True)
@@ -38,12 +43,18 @@ class CfSolution:
 def cf_solve(config: SystemConfig) -> CfSolution:
     """Solve the description-rate balance and return the achieved rate.
 
-    The balance rate(r) - (carried - r), with carried the second-hop rate,
-    is strictly increasing in r and equals -carried at r = 0, so its root
-    lies on [0, carried] and bisection is certified. A second hop carrying
-    at most 1e-10 gives r* = 0 outright. Otherwise the solve tries
-    r = carried, then halves the bracket until |balance| <= 1e-10 or the
-    bracket is narrower than 1e-10 * max(1, r).
+    The balance b(r) = rate(r) - (carried - r), with carried the second-hop
+    rate, is strictly increasing in r and equals -carried at r = 0, so its
+    root lies on [0, carried] and bisection is certified. A second hop
+    carrying at most 1e-10 gives r* = 0 outright. Otherwise the result is
+    that of a bisection that tries r = carried, then halves the bracket
+    until |balance| <= 1e-10 or the bracket is narrower than
+    1e-10 * max(1, r).
+
+    That bisection is replayed rather than run: it evaluates the balance
+    only at midpoints inside `_uncertain_zone` and where it stops, and
+    takes the sign it knows everywhere else, so every output bit is the
+    bisection's at about a quarter of its balance evaluations.
     """
     carried = rate_mcp(config.second_lag, config.rho2)
     if carried <= _TOL:
@@ -51,21 +62,71 @@ def cf_solve(config: SystemConfig) -> CfSolution:
         return CfSolution(rate=0.0, r_star=0.0, residual=0.0 - carried,
                           second_lag_rate=carried)
 
-    first = config.first_lag
+    first, rho1 = config.first_lag, config.rho1
 
     def balance(r: float):
-        rate = rate_mcp(first, config.rho1 * (1.0 - 2.0 ** (-r)))
+        rate = rate_mcp(first, rho1 * (1.0 - 2.0 ** (-r)))
         return rate, rate - (carried - r)
+
+    def newton(r: float, residual: float) -> float:
+        decay = 2.0 ** (-r)
+        slope = rate_mcp_slope(first, rho1 * (1.0 - decay)) * rho1 * decay * _LN2
+        return r - residual / (1.0 + slope)
 
     lo, hi = 0.0, carried
     r_star = carried
     rate, residual = balance(r_star)
-    while abs(residual) > _TOL and hi - lo >= _TOL * max(1.0, r_star):
-        if residual < 0.0:
+    zone_lo, zone_hi = _uncertain_zone(balance, newton, carried, residual)
+    known = False
+    # max(1.0, r_star), spelled out to save a builtin call per step.
+    while ((known or abs(residual) > _TOL)
+           and hi - lo >= _TOL * (r_star if r_star > 1.0 else 1.0)):
+        if (r_star < zone_lo) if known else residual < 0.0:
             lo = r_star
         else:
             hi = r_star
         r_star = 0.5 * (lo + hi)
+        known = not zone_lo <= r_star <= zone_hi
+        if not known:
+            rate, residual = balance(r_star)
+    if known:
         rate, residual = balance(r_star)
     return CfSolution(rate=rate, r_star=r_star, residual=residual,
                       second_lag_rate=carried)
+
+
+def _uncertain_zone(balance, newton, carried: float, residual: float):
+    """(lo, hi) such that the computed balance is below -1e-10 left of lo
+    and above 1e-10 right of hi, given its value at r = carried.
+
+    b rises with slope at least 1, so a value v = b(p) puts every sign
+    change in [min(p, p - v), max(p, p - v)], and 2e-10 beyond that b has
+    a known sign and a size above 1e-10. Rounding moves the computed
+    balance by far less than the spare 1e-10: its terms are at most about
+    2048 bits, and the rounded argument of the rate still rises with r.
+    Safeguarded Newton on the closed-form slope narrows the zone to
+    5e-10. b is concave, so a step from a point below the root stays below
+    it; where Newton stalls, the bracket is split, by ratio once its lower
+    end is positive.
+    """
+    r, previous = carried, math.inf
+    below, below_residual, above = 0.0, -carried, carried
+    lo, hi = -math.inf, math.inf
+    steps = 0
+    while True:
+        lo = max(lo, min(r, r - residual) - 2.0 * _TOL)
+        hi = min(hi, max(r, r - residual) + 2.0 * _TOL)
+        if hi - lo <= 5.0 * _TOL or steps == _NEWTON_STEPS:
+            return lo, hi
+        steps += 1
+        step = newton(r, residual)
+        if not below < step < above:
+            step = newton(below, below_residual)
+        if not below < step < above or 2.0 * abs(residual) > abs(previous):
+            step = math.sqrt(below) * math.sqrt(above) if below > 0.0 else 0.5 * above
+        r, previous = step, residual
+        residual = balance(r)[1]
+        if residual < 0.0:
+            below, below_residual = r, residual
+        else:
+            above = r

@@ -70,10 +70,12 @@ def _build_parser() -> _Parser:
                      help="include solver diagnostics in the output")
     run.add_argument("--oracle", action="store_true",
                      help="include finite-ring and Monte Carlo cross-checks")
-    run.add_argument("--quad-tol", type=float, default=1e-10, metavar="TOL",
-                     help="quadrature relative tolerance (default 1e-10)")
-    run.add_argument("--quad-max-points", type=int, default=2 ** 22, metavar="N",
-                     help="quadrature grid ceiling, a power of two (default 2^22)")
+    tol, ceiling = DEFAULT_QUADRATURE.rel_tol, DEFAULT_QUADRATURE.max_points
+    run.add_argument("--quad-tol", type=float, default=tol, metavar="TOL",
+                     help=f"quadrature relative tolerance (default {tol:g})")
+    run.add_argument("--quad-max-points", type=int, default=ceiling, metavar="N",
+                     help="quadrature grid ceiling, a power of two "
+                          f"(default 2^{ceiling.bit_length() - 1})")
 
     parser = _Parser(prog="wynerrelay",
                      description="Per-cell sum-rates for a relay-aided "

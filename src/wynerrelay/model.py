@@ -27,7 +27,9 @@ def db_to_linear(value_db: float) -> float:
 
 def _require_finite(name: str, value, sign: str | None = None) -> float:
     """The input as a finite float; sign is None, "nonnegative" or "positive"."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+    # A plain float skips the slow ABC check; the rest take the full one.
+    if type(value) is not float and (isinstance(value, bool)
+                                     or not isinstance(value, numbers.Real)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):

@@ -73,6 +73,24 @@ def rate_mcp(lag: LagGains, rho) -> float:
     return rate
 
 
+def rate_mcp_slope(lag: LagGains, rho) -> float:
+    """d(rate_mcp)/d(rho), in closed form.
+
+    The slope is the integral of H^2/((1 + rho*H^2)*ln 2) over f, that is
+    (1 - Re 1/sqrt(D))/(rho*ln 2) with D = 1 + rho*(2b - a)*(2b + a) +
+    2i*sqrt(rho)*a as in `rate_mcp`. 1 - 1/sqrt(D) is formed as
+    (D - 1)/(sqrt(D)*(sqrt(D) + 1)), which keeps its digits at low SNR; at
+    rho = 0 the slope is its limit (a^2 + 2b^2)/ln 2.
+    """
+    rho = _require_finite("SNR", rho, "nonnegative")
+    a, b = lag.local, lag.cross
+    if rho == 0.0:
+        return (a * a + 2.0 * b * b) / _LN2
+    excess = complex(rho * (2.0 * b - a) * (2.0 * b + a), 2.0 * math.sqrt(rho) * a)
+    root = cmath.sqrt(1.0 + excess)
+    return (excess / (root * (root + 1.0))).real / (rho * _LN2)
+
+
 def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
     """Exact per-cell sum-rate of the M-cell ring.
 

@@ -2,13 +2,18 @@
 
 import dataclasses
 import math
+import random
 
 import pytest
 
+import wynerrelay.cf
 from wynerrelay import (
     CfSolution,
     LagGains,
+    axis_values,
     cf_solve,
+    config_at,
+    figure_spec,
     parse_config,
     rate_mcp,
     upper_bound,
@@ -55,6 +60,54 @@ def scalar_fixed_point(rho1, rho2, iterations=200):
             hi = mid
     r_star = 0.5 * (lo + hi)
     return r_star, math.log2(1.0 + rho1 * (1.0 - 2.0**-r_star))
+
+
+def bisection(config):
+    """The plain bisection whose stopping point cf_solve returns, as
+    (rate, r_star, residual, second_lag_rate)."""
+    tol = 1e-10
+    carried = rate_mcp(config.second_lag, config.rho2)
+    if carried <= tol:
+        return 0.0, 0.0, 0.0 - carried, carried
+
+    def balance(r):
+        rate = rate_mcp(config.first_lag, config.rho1 * (1.0 - 2.0 ** (-r)))
+        return rate, rate - (carried - r)
+
+    lo, hi = 0.0, carried
+    r_star = carried
+    rate, residual = balance(r_star)
+    while abs(residual) > tol and hi - lo >= tol * max(1.0, r_star):
+        if residual < 0.0:
+            lo = r_star
+        else:
+            hi = r_star
+        r_star = 0.5 * (lo + hi)
+        rate, residual = balance(r_star)
+    return rate, r_star, residual, carried
+
+
+def preset_configs():
+    return [config_at(spec, value) for spec in map(figure_spec, ("fig3", "fig4", "fig5"))
+            for value in axis_values(spec)]
+
+
+def log_uniform_configs(count, seed=20240611):
+    """Gains log-uniform over 1e-3..1e3, one in ten zero; P and Q uniform
+    over -60..200 dB."""
+    rng = random.Random(seed)
+
+    def gain():
+        return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 3.0)
+
+    return [config(alpha=gain(), beta=gain(), gamma=gain(), eta=gain(),
+                   power_p=10.0 ** rng.uniform(-6.0, 20.0),
+                   power_q=10.0 ** rng.uniform(-6.0, 20.0))
+            for _ in range(count)]
+
+
+def hex_fields(values):
+    return tuple(float.hex(value) for value in values)
 
 
 class TestScalarCollapse:
@@ -128,6 +181,36 @@ class TestCfSolve:
         solution = cf_solve(config(**overrides))
         assert (solution.rate, solution.r_star, solution.residual) == \
             expected(solution.second_lag_rate)
+
+
+class TestBisectionReplay:
+    """cf_solve returns the bisection's stopping point bit for bit, at a
+    fraction of its balance evaluations."""
+
+    @pytest.mark.parametrize("configs", [
+        preset_configs,
+        lambda: log_uniform_configs(400),
+        # Width stops far from the residual tolerance (r* well below 1).
+        lambda: [config(beta=1e4), config(power_p=1e12), config(power_p=1e6)],
+    ], ids=["presets", "log_uniform", "width_stops"])
+    def test_bit_identical_to_bisection(self, configs):
+        for cfg in configs():
+            solution = dataclasses.astuple(cf_solve(cfg))
+            assert hex_fields(solution) == hex_fields(bisection(cfg)), cfg
+
+    def test_rate_mcp_calls_per_solve(self, monkeypatch):
+        calls = 0
+
+        def counted(*args):
+            nonlocal calls
+            calls += 1
+            return rate_mcp(*args)
+
+        monkeypatch.setattr(wynerrelay.cf, "rate_mcp", counted)
+        configs = preset_configs()
+        for cfg in configs:
+            cf_solve(cfg)
+        assert calls / len(configs) <= 12
 
 
 class TestCfLimits:

@@ -12,7 +12,7 @@ import pytest
 
 import wynerrelay
 import wynerrelay.sweep
-from wynerrelay import PACKAGE_VERSION, LagGains, cli, rate_mcp
+from wynerrelay import PACKAGE_VERSION, LagGains, QuadratureConfig, cli, rate_mcp
 from wynerrelay.cli import main
 
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
@@ -350,6 +350,20 @@ class TestParserReuse:
         cli._build_parser.cache_clear()
         for _ in range(2):
             assert self.run([*HELP_SCREENS[screen], "--help"], capfd) == (0, recorded, "")
+
+    def test_quadrature_flags_follow_the_library_defaults(self, monkeypatch, capfd):
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setattr(cli, "DEFAULT_QUADRATURE",
+                            QuadratureConfig(initial_points=16, max_points=2 ** 10,
+                                             rel_tol=1e-7))
+        parser = cli._build_parser.__wrapped__()
+        args = parser.parse_args(["rate"])
+        assert (args.quad_tol, args.quad_max_points) == (1e-7, 2 ** 10)
+        with pytest.raises(SystemExit):
+            parser.parse_args(["rate", "--help"])
+        screen = capfd.readouterr().out
+        assert "tolerance (default 1e-07)" in screen
+        assert "power of two (default 2^10)" in screen
 
 
 def child_environment():

@@ -139,6 +139,28 @@ class TestRateMcp:
         assert cf_solve(config).rate > 0.0
 
 
+class TestRateMcpSlope:
+    # A 2^16-point grid resolves the integrand's peaks 1/(1 + rho*H^2) at
+    # every rho below for null-free responses and at the double null
+    # a = 2b; at simple nulls their width shrinks like rho^(-1/2).
+    RHOS = (0.0, 1e-8, 1e-3, 1.0, 1e3, 1e6, 1e9, 1e12)
+    CASES = [((1.0, 0.2), RHOS), ((3.0, 0.5), RHOS), ((2.0, 1.0), RHOS),
+             ((0.4, 0.2), RHOS), ((0.0, 1.0), RHOS[:5]), ((0.3, 1.5), RHOS[:5])]
+
+    @pytest.mark.parametrize("gains, rhos", CASES, ids=[str(g) for g, _ in CASES])
+    def test_matches_grid_average(self, gains, rhos):
+        lag = LagGains(*gains)
+        gain = channel_response(lag, uniform_grid(2 ** 16)) ** 2
+        for rho in rhos:
+            expected = np.mean(gain / ((1.0 + rho * gain) * math.log(2.0)))
+            assert wynerrelay.wyner.rate_mcp_slope(lag, rho) == pytest.approx(
+                expected, rel=1e-12, abs=0.0), rho
+
+    def test_rejects_negative_snr(self):
+        with pytest.raises(ValueError):
+            wynerrelay.wyner.rate_mcp_slope(LagGains(1.0, 0.2), -1.0)
+
+
 class TestRateMcpFinite:
     def test_flat_ring(self):
         rate = rate_mcp_finite(LagGains(local=1.0, cross=0.0), 10.0, 7)
