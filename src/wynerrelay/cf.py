@@ -40,6 +40,11 @@ class CfSolution:
     second_lag_rate: float
 
 
+def quantized_snr(rho1: float, r: float) -> float:
+    """First-hop SNR left after describing it at rate r: rho1 * (1 - 2^-r)."""
+    return rho1 * (1.0 - 2.0 ** (-r))
+
+
 def cf_solve(config: SystemConfig) -> CfSolution:
     """Solve the description-rate balance and return the achieved rate.
 
@@ -65,12 +70,11 @@ def cf_solve(config: SystemConfig) -> CfSolution:
     first, rho1 = config.first_lag, config.rho1
 
     def balance(r: float):
-        rate = rate_mcp(first, rho1 * (1.0 - 2.0 ** (-r)))
+        rate = rate_mcp(first, quantized_snr(rho1, r))
         return rate, rate - (carried - r)
 
     def newton(r: float, residual: float) -> float:
-        decay = 2.0 ** (-r)
-        slope = rate_mcp_slope(first, rho1 * (1.0 - decay)) * rho1 * decay * _LN2
+        slope = rate_mcp_slope(first, quantized_snr(rho1, r)) * rho1 * 2.0 ** (-r) * _LN2
         return r - residual / (1.0 + slope)
 
     lo, hi = 0.0, carried

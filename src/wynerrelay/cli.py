@@ -180,10 +180,8 @@ def _run_figure(args) -> bytes:
                           "which the field flags may override")
     spec = figure_spec(args.name)
     base = _config_from_args(args, base_mapping=config_to_mapping(spec.base))
-    spec = replace(spec, base=base)
-    if args.schemes is not None:
-        spec = replace(spec, schemes=_schemes_from_args(args))
-    return _run_table(args, spec)
+    schemes = spec.schemes if args.schemes is None else _schemes_from_args(args)
+    return _run_table(args, replace(spec, base=base, schemes=schemes))
 
 
 def _write_output(data: bytes, path: str) -> None:

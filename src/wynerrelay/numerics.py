@@ -12,6 +12,8 @@ finite-ring cross-checks rely on.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import QuadratureConfig, DEFAULT_QUADRATURE, _require_integer
@@ -32,11 +34,18 @@ def uniform_grid(points: int) -> np.ndarray:
 
 
 def _grid_average(values: np.ndarray, points: int) -> float:
-    if not np.all(np.isfinite(values)):
-        bad = int(np.argmin(np.isfinite(values)))
-        raise ValueError(
-            f"integrand is not finite at f = {bad}/{points} = {bad / points}")
-    return float(np.mean(values))
+    # np.mean's own sum and division, so the result is its bits. A
+    # non-finite sample makes the sum non-finite; only then is it looked for,
+    # and an +inf, -inf pair is reported here rather than warned of.
+    with np.errstate(invalid="ignore"):
+        total = float(np.add.reduce(values))
+    if not math.isfinite(total):
+        finite = np.isfinite(values)
+        if not finite.all():
+            bad = int(np.argmin(finite))
+            raise ValueError(
+                f"integrand is not finite at f = {bad}/{points} = {bad / points}")
+    return total / points
 
 
 def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):

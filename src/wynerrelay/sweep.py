@@ -17,7 +17,8 @@ from dataclasses import dataclass, field, replace
 
 from .af import af_rate, af_rate_finite, optimal_gain, relay_output_power, \
     simulate_relay_power
-from .cf import cf_solve
+from . import wyner
+from .cf import cf_solve, quantized_snr
 from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
@@ -48,23 +49,34 @@ def _against(name: str, finite: float, value: float) -> dict:
     return {f"{name}_oracle": finite, f"{name}_oracle_delta": finite - value}
 
 
+def _once(solved: dict, key, solve, *args):
+    """solve(*args), run once per key for as long as `solved` is kept."""
+    if key not in solved:
+        solved[key] = solve(*args)
+    return solved[key]
+
+
 # One function per scheme. Each runs its solve once and returns the rate,
 # its --verbose diagnostics and, given an oracle seed, its cross-check
-# columns built from that same solve. The layer functions are looked up
-# through this module's names at call time, so they can be wrapped.
+# columns built from that same solve. `solved` carries solves between the
+# points of a sweep, keyed on exactly the inputs each solve reads. The
+# layer functions are looked up through module names at call time, so
+# they can be wrapped.
 
-def _cf(config: SystemConfig, quadrature: QuadratureConfig, seed):
-    solution = cf_solve(config)
+def _cf(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
+    # The relays cancel their own echo, so the solve does not read mu.
+    key = ("cf", config.first_lag, config.rho1, config.second_lag, config.rho2)
+    solution = _once(solved, key, cf_solve, config)
     notes = {"cf_r_star": solution.r_star, "cf_residual": solution.residual}
     if seed is None:
         return solution.rate, notes, {}
     with _oracle():
-        quantized = config.rho1 * (1.0 - 2.0 ** (-solution.r_star))
+        quantized = quantized_snr(config.rho1, solution.r_star)
         finite = rate_mcp_finite(config.first_lag, quantized, ORACLE_RING)
     return solution.rate, notes, _against("cf", finite, solution.rate)
 
 
-def _af(config: SystemConfig, quadrature: QuadratureConfig, seed):
+def _af(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
     gain = optimal_gain(config)
     rate = af_rate(config, gain.gain, quadrature)
     notes = {"af_gain": gain.gain, "af_power_residual": gain.residual}
@@ -80,7 +92,7 @@ def _af(config: SystemConfig, quadrature: QuadratureConfig, seed):
                          "af_sim_delta": simulated.mean_power - power}
 
 
-def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, seed):
+def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
     quiet = replace(config, mu=0.0)
     gain = optimal_gain(quiet)
     rate = af_rate(quiet, gain.gain, quadrature)
@@ -92,14 +104,20 @@ def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, seed):
     return rate, notes, _against("af_mu0", finite, rate)
 
 
-def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, seed):
-    bound = upper_bound(config, quadrature)
+def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
+    key = ("waterfill", config.second_lag, config.rho2, quadrature)
+    bound = upper_bound(config, quadrature,
+                        lambda *args: _once(solved, key, wyner.waterfill, *args))
+    # Silent relays run no waterfill and spend nothing.
+    fill = solved.get(key)
+    spent = 0.0 if fill is None else fill.spent_power
+    notes = {"upper_bound_power_residual": spent - config.rho2}
     if seed is None:
-        return bound, {}, {}
+        return bound, notes, {}
     with _oracle():
         finite = min(rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING),
                      waterfill_finite(config.second_lag, config.rho2, ORACLE_RING))
-    return bound, {}, _against("upper_bound", finite, bound)
+    return bound, notes, _against("upper_bound", finite, bound)
 
 
 # The registry, in canonical order: columns follow this order.
@@ -127,6 +145,8 @@ class SweepSpec:
     points: int
     base: SystemConfig
     schemes: tuple = SCHEME_ORDER
+    # Each grid point's config, built once when the spec is validated.
+    configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.axis not in AXES:
@@ -139,11 +159,13 @@ class SweepSpec:
                 f"sweep needs start < stop, got [{self.start}, {self.stop}]")
         object.__setattr__(self, "points", _require_integer("points", self.points, 2))
         object.__setattr__(self, "schemes", canonical_schemes(self.schemes))
+        configs = []
         for value in axis_values(self):
             try:
-                config_at(self, value)
+                configs.append(config_at(self, value))
             except ConfigError as exc:
                 raise ConfigError(f"axis {self.axis} = {value} is invalid: {exc}") from exc
+        object.__setattr__(self, "configs", tuple(configs))
 
 
 def axis_values(spec: SweepSpec) -> list:
@@ -162,7 +184,7 @@ def config_at(spec: SweepSpec, value: float) -> SystemConfig:
 
 def run_point(config: SystemConfig, schemes,
               quadrature: QuadratureConfig = DEFAULT_QUADRATURE, *,
-              diagnostics: bool = False, oracle_seed=None) -> dict:
+              diagnostics: bool = False, oracle_seed=None, solved=None) -> dict:
     """Evaluate and check the selected schemes at one operating point.
 
     Returns a name-to-value map: the scheme rates in canonical order; with
@@ -171,12 +193,16 @@ def run_point(config: SystemConfig, schemes,
     finite-ring and Monte Carlo cross-checks, each with its signed gap to
     the reported value. Every returned value must be finite, every rate
     non-negative and, when `upper_bound` is selected, no rate above it;
-    a failure raises SchemeError naming the scheme.
+    a failure raises SchemeError naming the scheme. A caller evaluating
+    several points passes the same `solved` dict to each, and a solve
+    whose inputs an earlier point shared is taken from it.
     """
+    if solved is None:
+        solved = {}
     rates, notes, checks = {}, {}, {}
     for name in canonical_schemes(schemes):
         try:
-            rate, extras, oracle = SCHEMES[name](config, quadrature, oracle_seed)
+            rate, extras, oracle = SCHEMES[name](config, quadrature, oracle_seed, solved)
         except (ValueError, ArithmeticError, SchemeError) as exc:
             raise SchemeError(f"{name}: {exc}") from exc
         if not diagnostics:
@@ -220,14 +246,21 @@ def run_metadata(quadrature: QuadratureConfig, oracle_seed=None) -> dict:
 def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
               *, diagnostics: bool = False, oracle: bool = False,
               seed: int = 1234) -> SweepTable:
-    """Evaluate the sweep point by point, in grid order."""
+    """Evaluate the sweep point by point, in grid order.
+
+    A solve that the swept quantity does not reach runs once per sweep:
+    on a mu axis `cf_solve` and the second hop's `waterfill`, and on a
+    first-hop power axis that `waterfill`.
+    """
     values = axis_values(spec)
+    solved = {}
     results = []
-    for index, value in enumerate(values):
+    for index, (value, config) in enumerate(zip(values, spec.configs)):
         try:
-            results.append(run_point(config_at(spec, value), spec.schemes, quadrature,
+            results.append(run_point(config, spec.schemes, quadrature,
                                      diagnostics=diagnostics,
-                                     oracle_seed=[seed, index] if oracle else None))
+                                     oracle_seed=[seed, index] if oracle else None,
+                                     solved=solved))
         except SchemeError as exc:
             raise SchemeError(f"at {spec.axis} = {value:.12g}: {exc}") from exc
 

@@ -246,17 +246,20 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
 
 
 def upper_bound(config: SystemConfig,
-                quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
+                quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
+                fill=None) -> float:
     """Cut-set-style cap: the weaker of the two hops, each at its best.
 
     The receiver-side hop is taken at the flat-spectrum rate; the
     relay-side hop gets the waterfilling benefit of full cooperation.
     Silent relays, or relays whose gain toward every base station is below
-    the pole guard, carry nothing, so the cap is then 0.
+    the pole guard, carry nothing, so the cap is then 0. `fill`, called
+    as `waterfill` is, stands in for it: a caller that already holds the
+    second hop's solution passes it back that way.
     """
     second = config.second_lag
     if config.rho2 == 0.0 or _silent(second):
         return 0.0
     uplink = rate_mcp(config.first_lag, config.rho1)
-    downlink = waterfill(second, config.rho2, quadrature).rate
+    downlink = (fill or waterfill)(second, config.rho2, quadrature).rate
     return min(uplink, downlink)

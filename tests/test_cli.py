@@ -21,6 +21,7 @@ ALL_SCHEMES_REVERSED = "upper_bound,af_mu0,af,cf"
 VERBOSE_ORACLE_COLUMNS = [
     "cf", "af", "af_mu0", "upper_bound",
     "cf_r_star", "cf_residual", "af_gain", "af_power_residual", "af_mu0_gain",
+    "upper_bound_power_residual",
     "cf_oracle", "cf_oracle_delta", "af_oracle", "af_oracle_delta",
     "af_sim_power", "af_sim_se", "af_sim_delta",
     "af_mu0_oracle", "af_mu0_oracle_delta",
@@ -143,6 +144,14 @@ class TestRateCommand:
             rates[q_db] = json.loads(capfd.readouterr().out)["rates"]["af"]
         for q_db in ("80", "120", "300"):
             assert rates[q_db] == pytest.approx(rates["60"], abs=1e-9)
+
+    def test_bound_power_residual_reports_a_missed_budget(self, capfd):
+        # The floor 1/H^2 = 1e200 swallows rho2 = 1 in roundoff, so the
+        # waterfill spends nothing, and says so.
+        assert main(["rate", "--gamma", "1e-100", "--eta", "0", "--Q-dB", "0",
+                     "--verbose"]) == 0
+        lines = capfd.readouterr().out.splitlines()
+        assert "upper_bound_power_residual,-1" in lines
 
     def test_af_power_residual_is_within_roundoff(self, capfd):
         assert main(["rate", "--mu", "0.8", "--Q-dB", "60", "--verbose",

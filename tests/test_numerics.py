@@ -12,7 +12,7 @@ from wynerrelay import (
     integrate_periodic,
     uniform_grid,
 )
-from wynerrelay.numerics import integrate_periodic_report
+from wynerrelay.numerics import _grid_average, integrate_periodic_report
 
 TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
 
@@ -81,6 +81,39 @@ class TestIntegratePeriodic:
 
         with pytest.raises(ValueError, match="f = 0"):
             integrate_periodic(integrand, TIGHT)
+
+
+class TestGridAverage:
+    def test_same_bits_as_numpy_mean(self):
+        rng = np.random.default_rng(2024)
+        for exponent in range(3, 23):
+            size = 2**exponent
+            plain = rng.lognormal(0.0, 3.0, size) * rng.choice([-1.0, 1.0], size)
+            # The ladder's layout: the old grid interleaved with its odd points.
+            merged = np.empty(size)
+            merged[0::2] = plain[: size // 2]
+            merged[1::2] = rng.standard_normal(size // 2)
+            for values in (plain, merged):
+                average = _grid_average(values, size)
+                assert float.hex(average) == float.hex(float(np.mean(values)))
+
+    def test_nan_at_refined_abscissa_is_named(self):
+        def integrand(f):
+            return np.where(f == 3 / 128, np.nan, np.cos(2 * np.pi * f))
+
+        with pytest.raises(ValueError, match=r"f = 3/128 = 0\.0234375$"):
+            integrate_periodic(integrand, TIGHT)
+
+    def test_opposite_infinities_name_the_first(self):
+        values = np.zeros(16)
+        values[5], values[9] = np.inf, -np.inf
+        with pytest.raises(ValueError, match="f = 5/16"):
+            _grid_average(values, 16)
+
+    def test_finite_samples_whose_sum_overflows_average_to_inf(self):
+        values = np.full(8, 1e308)
+        with np.errstate(over="ignore"):
+            assert _grid_average(values, 8) == np.mean(values) == np.inf
 
 
 class TestNestedGrids:

@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+from pathlib import Path
 
 import pytest
 
@@ -23,6 +24,9 @@ from wynerrelay import (
     run_point,
     run_sweep,
 )
+
+
+RATE_POOL = Path(__file__).parents[1] / "perfbench" / "reference" / "rate_points.json"
 
 
 def base_config(**overrides):
@@ -103,6 +107,13 @@ class TestSweepSpec:
         with pytest.raises(ConfigError, match="-0.25"):
             small_spec(start=-0.25)
 
+    def test_keeps_each_point_config(self):
+        spec = small_spec(axis="rho1_db", start=0.0, stop=20.0)
+        assert spec.configs == tuple(config_at(spec, value) for value in axis_values(spec))
+        assert "configs" not in repr(spec)
+        moved = dataclasses.replace(spec, base=base_config(mu=0.2))
+        assert all(config.mu == 0.2 for config in moved.configs)
+
 
 class TestRunPoint:
     def test_silent_uplink_zeroes_every_scheme(self):
@@ -154,6 +165,24 @@ class TestRunPoint:
         monkeypatch.setattr(wynerrelay.sweep, "upper_bound", lambda *args: float("nan"))
         with pytest.raises(SchemeError, match="^upper_bound: column upper_bound"):
             run_point(base_config(), ("upper_bound",))
+
+    def test_bound_power_residual_on_rate_pool(self):
+        # The waterfilled second hop spends its budget to within two units
+        # in the last place of max(1, rho2) over the benchmark's rate pool.
+        pool = json.loads(RATE_POOL.read_text())["pool"]
+        for variants in pool:
+            for point in variants:
+                config = parse_config(point["config"])
+                notes = run_point(config, ("upper_bound",), diagnostics=True)
+                residual = notes["upper_bound_power_residual"]
+                assert abs(residual) <= 2.0 * 2.0**-52 * max(1.0, config.rho2), point
+
+    def test_bound_power_residual_without_a_solve(self):
+        assert run_point(base_config(power_q=0.0), ("upper_bound",),
+                         diagnostics=True)["upper_bound_power_residual"] == 0.0
+        silent_hop = run_point(base_config(gamma=0.0, eta=0.0), ("upper_bound",),
+                               diagnostics=True)
+        assert silent_hop["upper_bound_power_residual"] == -100.0
 
 
 class TestRunSweep:
@@ -217,8 +246,65 @@ class TestRunSweep:
         monkeypatch.setattr(wynerrelay.sweep, "waterfill", waterfill, raising=False)
         table = run_sweep(small_spec(points=2, schemes=SCHEME_ORDER), oracle=True)
         assert "af_sim_power" in table.columns
-        assert calls == {"cf_solve": 2, "optimal_gain": 4, "af_rate": 4,
-                         "upper_bound": 2, "waterfill": 2}
+        # mu moves neither cf_solve's inputs nor the second hop, so each
+        # runs once for the sweep; the cross-checks add no solve.
+        assert calls == {"cf_solve": 1, "optimal_gain": 4, "af_rate": 4,
+                         "upper_bound": 2, "waterfill": 1}
+
+
+def hex_columns(columns: dict) -> dict:
+    return {name: [float.hex(value) for value in column]
+            for name, column in columns.items()}
+
+
+AXIS_RANGES = {"mu": (0.0, 0.4), "power_p": (1.0, 100.0), "power_q": (1.0, 100.0),
+               "rho1_db": (0.0, 20.0), "rho2_db": (0.0, 20.0)}
+REUSE_SPECS = [pytest.param(lambda name=name: figure_spec(name), id=name)
+               for name in ("fig3", "fig4", "fig5")]
+REUSE_SPECS += [pytest.param(lambda axis=axis: small_spec(
+                    axis=axis, start=AXIS_RANGES[axis][0], stop=AXIS_RANGES[axis][1],
+                    schemes=SCHEME_ORDER), id=axis)
+                for axis in wynerrelay.sweep.AXES]
+
+
+@pytest.fixture
+def solve_calls(monkeypatch):
+    """Count calls through the module names the benchmark tracer wraps."""
+    calls = collections.Counter()
+    for module, name in ((wynerrelay.sweep, "cf_solve"), (wynerrelay.wyner, "waterfill")):
+        def wrapper(*args, name=name, function=getattr(module, name)):
+            calls[name] += 1
+            return function(*args)
+        monkeypatch.setattr(module, name, wrapper)
+    return calls
+
+
+class TestSweepReuse:
+    @pytest.mark.parametrize("make_spec", REUSE_SPECS)
+    def test_same_bits_as_point_by_point(self, make_spec):
+        spec = make_spec()
+        table = run_sweep(spec, diagnostics=True)
+        points = [run_point(config_at(spec, value), spec.schemes, diagnostics=True)
+                  for value in axis_values(spec)]
+        alone = {name: [point[name] for point in points] for name in points[0]}
+        assert hex_columns(table.columns) == hex_columns(alone)
+
+    def test_relay_coupling_sweep_solves_once(self, solve_calls):
+        run_sweep(figure_spec("fig3"))
+        assert solve_calls == {"cf_solve": 1, "waterfill": 1}
+
+    def test_uplink_power_sweep_fills_second_hop_once(self, solve_calls):
+        run_sweep(figure_spec("fig4"))
+        assert solve_calls == {"cf_solve": 21, "waterfill": 1}
+
+    def test_relay_power_sweep_fills_every_point(self, solve_calls):
+        run_sweep(small_spec(axis="rho2_db", start=0.0, stop=20.0))
+        assert solve_calls == {"cf_solve": 3, "waterfill": 3}
+
+    def test_point_queries_keep_nothing(self, solve_calls):
+        for _ in range(2):
+            run_point(base_config(), ("cf", "upper_bound"))
+        assert solve_calls == {"cf_solve": 2, "waterfill": 2}
 
 
 class TestEmit:
