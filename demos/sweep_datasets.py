@@ -5,13 +5,11 @@ available from the command line via `wynerrelay figure <name>`; this
 script shows the library route and prints a quick summary of each table.
 """
 
-from wynerrelay import emit, figure_spec, run_sweep
-
-PRESETS = ("fig3", "fig4", "fig5")
+from wynerrelay import FIGURES, emit, figure_spec, run_sweep
 
 
 def main():
-    for name in PRESETS:
+    for name in FIGURES:
         spec = figure_spec(name)
         table = run_sweep(spec)
         path = f"{name}_rates.csv"

@@ -11,8 +11,8 @@ the base stations only through a layer of relays:
   meet the power budget (`af_rate`, `optimal_gain`), validated by a ring
   simulation (`simulate_relay_power`);
 - the compress-and-forward achievable rate (`cf_solve`);
-- one-axis parameter sweeps with stable CSV/JSON serialization
-  (`run_sweep`, `emit`, `figure_spec`) behind the `wynerrelay` CLI.
+- one-axis sweeps and their presets, serialized stably to CSV/JSON, behind
+  the `wynerrelay` CLI (`SweepSpec`, `run_sweep`, `emit`, `FIGURES`, `figure_spec`).
 """
 
 from .model import (ConfigError, LagGains, SystemConfig, QuadratureConfig,
@@ -24,19 +24,18 @@ from .wyner import (channel_response, rate_mcp, rate_mcp_finite, upper_bound,
 from .af import (af_rate, af_rate_finite, optimal_gain, relay_output_power,
                  simulate_relay_power)
 from .cf import CfSolution, cf_solve
-from .sweep import (SCHEME_ORDER, SchemeError, SweepSpec, axis_values,
-                    canonical_schemes, config_at, emit, figure_spec, run_point,
-                    run_sweep)
+from .sweep import (FIGURES, SCHEME_ORDER, SchemeError, SweepSpec,
+                    canonical_schemes, emit, figure_spec, run_point, run_sweep)
 
 __version__ = PACKAGE_VERSION
 
 __all__ = [
-    "CfSolution", "ConfigError", "ConvergenceError", "LagGains",
+    "CfSolution", "ConfigError", "ConvergenceError", "FIGURES", "LagGains",
     "PACKAGE_VERSION", "QuadratureConfig", "SCHEME_ORDER", "SchemeError",
-    "SweepSpec", "SystemConfig", "af_rate", "af_rate_finite", "axis_values",
-    "canonical_schemes", "cf_solve", "channel_response", "config_at",
-    "config_to_mapping", "db_to_linear", "emit", "figure_spec",
-    "integrate_periodic", "load_mapping", "optimal_gain", "parse_config",
+    "SweepSpec", "SystemConfig", "af_rate", "af_rate_finite",
+    "canonical_schemes", "cf_solve", "channel_response", "config_to_mapping",
+    "db_to_linear", "emit", "figure_spec", "integrate_periodic",
+    "load_mapping", "optimal_gain", "parse_config",
     "rate_mcp", "rate_mcp_finite", "relay_output_power", "run_point",
     "run_sweep", "simulate_relay_power", "uniform_grid", "upper_bound",
     "waterfill", "waterfill_finite",

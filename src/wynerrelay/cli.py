@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Three subcommands: `rate` evaluates the schemes at one operating point,
-`sweep` runs a generic one-axis sweep, and `figure` runs the preset
-sweeps (fig3, fig4, fig5). Exit codes: 0 on success, 1 for usage or
+`sweep` runs a generic one-axis sweep, and `figure` runs a preset sweep
+from `sweep.FIGURES`. Exit codes: 0 on success, 1 for usage or
 configuration problems, 2 when a numerical routine fails to converge.
 """
 
@@ -12,15 +12,14 @@ import argparse
 import functools
 import json
 import sys
-from dataclasses import replace
 
 from .model import (ConfigError, QuadratureConfig, DEFAULT_CONFIG_MAPPING,
                     DEFAULT_QUADRATURE, PACKAGE_VERSION, _LINEAR_KEYS,
                     config_to_mapping, load_mapping, parse_config)
-from .sweep import (AXES, SCHEME_ORDER, SchemeError, SweepSpec, canonical_schemes,
-                    emit, figure_spec, run_metadata, run_point, run_sweep)
+from .sweep import (AXES, FIGURES, SCHEME_ORDER, Figure, SchemeError, SweepSpec,
+                    canonical_schemes, emit, run_metadata, run_point, run_sweep)
 
-_FIGURES = ("fig3", "fig4", "fig5")
+_DEFAULT_SCHEMES = ("cf", "af", "upper_bound")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -98,11 +97,16 @@ def _build_parser() -> _Parser:
                        help="number of grid points (at least 2)")
     figure = commands.add_parser("figure", parents=[common],
                                  help="run a preset sweep")
-    figure.add_argument("name", choices=_FIGURES, help="which preset to run")
+    figure.add_argument("name", choices=FIGURES, help="which preset to run")
     return parser
 
 
-def _apply_overrides(mapping: dict, args) -> dict:
+def _config_from_args(args, changes=None):
+    """--config, else the stock point with `changes`, then the field flags."""
+    if args.config is not None:
+        mapping = load_mapping(args.config)
+    else:
+        mapping = {**DEFAULT_CONFIG_MAPPING, **(changes or {})}
     for name in _LINEAR_KEYS:
         value = getattr(args, name)
         if value is not None:
@@ -114,16 +118,7 @@ def _apply_overrides(mapping: dict, args) -> dict:
     if args.q_db is not None:
         mapping.pop("power_q", None)
         mapping["Q_dB"] = args.q_db
-    return mapping
-
-
-def _config_from_args(args, base_mapping=None):
-    if base_mapping is None:
-        if args.config is not None:
-            base_mapping = load_mapping(args.config)
-        else:
-            base_mapping = dict(DEFAULT_CONFIG_MAPPING)
-    return parse_config(_apply_overrides(dict(base_mapping), args))
+    return parse_config(mapping)
 
 
 def _quadrature_from_args(args) -> QuadratureConfig:
@@ -133,7 +128,7 @@ def _quadrature_from_args(args) -> QuadratureConfig:
                             rel_tol=args.quad_tol)
 
 
-def _schemes_from_args(args, fallback=("cf", "af", "upper_bound")):
+def _schemes_from_args(args, fallback=_DEFAULT_SCHEMES):
     if args.schemes is None:
         return canonical_schemes(fallback)
     return canonical_schemes(name.strip() for name in args.schemes.split(","))
@@ -162,26 +157,25 @@ def _run_rate(args) -> bytes:
     return (json.dumps(document, sort_keys=True, indent=2) + "\n").encode("ascii")
 
 
-def _run_table(args, spec: SweepSpec) -> bytes:
+def _run_table(args, figure: Figure) -> bytes:
+    spec = SweepSpec(figure.axis, figure.start, figure.stop, figure.points,
+                     _config_from_args(args, figure.config),
+                     _schemes_from_args(args, figure.schemes))
     table = run_sweep(spec, _quadrature_from_args(args), diagnostics=args.verbose,
                       oracle=args.oracle, seed=args.seed)
     return emit(table, args.format)
 
 
 def _run_sweep(args) -> bytes:
-    return _run_table(args, SweepSpec(
-        axis=args.axis, start=args.start, stop=args.stop, points=args.points,
-        base=_config_from_args(args), schemes=_schemes_from_args(args)))
+    return _run_table(args, Figure(args.axis, args.start, args.stop, args.points,
+                                   _DEFAULT_SCHEMES, {}))
 
 
 def _run_figure(args) -> bytes:
     if args.config is not None:
         raise ConfigError("figure does not read --config: it starts from its preset, "
                           "which the field flags may override")
-    spec = figure_spec(args.name)
-    base = _config_from_args(args, base_mapping=config_to_mapping(spec.base))
-    schemes = spec.schemes if args.schemes is None else _schemes_from_args(args)
-    return _run_table(args, replace(spec, base=base, schemes=schemes))
+    return _run_table(args, FIGURES[args.name])
 
 
 def _write_output(data: bytes, path: str) -> None:

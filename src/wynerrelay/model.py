@@ -21,8 +21,12 @@ class ConfigError(ValueError):
 
 
 def db_to_linear(value_db: float) -> float:
-    """Convert a power quantity from dB to its linear value."""
-    return 10.0 ** (value_db / 10.0)
+    """Convert a power quantity from dB to its linear value, or raise
+    ConfigError where that value would pass the largest double."""
+    try:
+        return 10.0 ** (value_db / 10.0)
+    except OverflowError:
+        raise ConfigError(f"{value_db} dB overflows a linear power") from None
 
 
 def _require_finite(name: str, value, sign: str | None = None) -> float:
@@ -199,7 +203,11 @@ def parse_config(source) -> SystemConfig:
         if linear_key in entries:
             kwargs[linear_key] = _require_finite(linear_key, entries[linear_key])
         elif db_key in entries:
-            kwargs[linear_key] = db_to_linear(_require_finite(db_key, entries[db_key]))
+            value_db = _require_finite(db_key, entries[db_key])
+            try:
+                kwargs[linear_key] = db_to_linear(value_db)
+            except ConfigError as exc:
+                raise ConfigError(f"{db_key}: {exc}") from None
         else:
             raise ConfigError(f"missing config key '{linear_key}' (or '{db_key}')")
     return SystemConfig(**kwargs)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import namedtuple
 from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
@@ -145,7 +146,8 @@ class SweepSpec:
     points: int
     base: SystemConfig
     schemes: tuple = SCHEME_ORDER
-    # Each grid point's config, built once when the spec is validated.
+    # The grid's axis values and each point's config, built on validation.
+    values: tuple = field(init=False, repr=False, compare=False)
     configs: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -159,27 +161,23 @@ class SweepSpec:
                 f"sweep needs start < stop, got [{self.start}, {self.stop}]")
         object.__setattr__(self, "points", _require_integer("points", self.points, 2))
         object.__setattr__(self, "schemes", canonical_schemes(self.schemes))
-        configs = []
-        for value in axis_values(self):
+        span = self.stop - self.start
+        values = tuple(self.start + span * (index / (self.points - 1))
+                       for index in range(self.points))
+        base, configs = self.base, []
+        for value in values:
             try:
-                configs.append(config_at(self, value))
+                if self.axis == "rho1_db":
+                    config = replace(base, power_p=base.noise1 * db_to_linear(value))
+                elif self.axis == "rho2_db":
+                    config = replace(base, power_q=base.noise2 * db_to_linear(value))
+                else:
+                    config = replace(base, **{self.axis: value})
             except ConfigError as exc:
                 raise ConfigError(f"axis {self.axis} = {value} is invalid: {exc}") from exc
+            configs.append(config)
+        object.__setattr__(self, "values", values)
         object.__setattr__(self, "configs", tuple(configs))
-
-
-def axis_values(spec: SweepSpec) -> list:
-    span = spec.stop - spec.start
-    return [spec.start + span * (index / (spec.points - 1))
-            for index in range(spec.points)]
-
-
-def config_at(spec: SweepSpec, value: float) -> SystemConfig:
-    if spec.axis == "rho1_db":
-        return replace(spec.base, power_p=spec.base.noise1 * db_to_linear(value))
-    if spec.axis == "rho2_db":
-        return replace(spec.base, power_q=spec.base.noise2 * db_to_linear(value))
-    return replace(spec.base, **{spec.axis: value})
 
 
 def run_point(config: SystemConfig, schemes,
@@ -252,10 +250,9 @@ def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
     on a mu axis `cf_solve` and the second hop's `waterfill`, and on a
     first-hop power axis that `waterfill`.
     """
-    values = axis_values(spec)
     solved = {}
     results = []
-    for index, (value, config) in enumerate(zip(values, spec.configs)):
+    for index, (value, config) in enumerate(zip(spec.values, spec.configs)):
         try:
             results.append(run_point(config, spec.schemes, quadrature,
                                      diagnostics=diagnostics,
@@ -274,7 +271,7 @@ def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
         "base_config": config_to_mapping(spec.base),
         **run_metadata(quadrature, seed if oracle else None),
     }
-    return SweepTable(axis=spec.axis, axis_values=tuple(values),
+    return SweepTable(axis=spec.axis, axis_values=spec.values,
                       columns=columns, metadata=metadata)
 
 
@@ -297,24 +294,25 @@ def emit(table: SweepTable, format: str = "csv") -> bytes:
     raise ConfigError(f"format must be 'csv' or 'json', got {format!r}")
 
 
-def figure_spec(name: str) -> SweepSpec:
-    """Preset sweeps reproducing the reference operating regimes.
+# A sweep before its base config: its grid, its schemes, and the config
+# fields that differ from DEFAULT_CONFIG_MAPPING. The presets reproduce the
+# reference operating regimes: the inter-relay gain at fixed powers, then
+# the uplink power in dB at symmetric and asymmetric hop gains, with the
+# echo-free relay rate alongside for contrast.
+Figure = namedtuple("Figure", "axis start stop points schemes config")
+FIGURES = {
+    "fig3": Figure("mu", 0.0, 0.8, 17, ("cf", "af", "upper_bound"), {"mu": 0.0}),
+    "fig4": Figure("rho1_db", -10.0, 30.0, 21, SCHEME_ORDER, {"mu": 0.8}),
+    "fig5": Figure("rho1_db", -10.0, 30.0, 21, SCHEME_ORDER,
+                   {"mu": 0.8, "alpha": 0.6}),
+}
 
-    fig3 sweeps the inter-relay gain at fixed powers; fig4 and fig5 sweep
-    the uplink power in dB at symmetric and asymmetric hop gains, with the
-    echo-free relay rate alongside for contrast.
-    """
-    base = parse_config(DEFAULT_CONFIG_MAPPING)
-    if name == "fig3":
-        return SweepSpec(axis="mu", start=0.0, stop=0.8, points=17,
-                         base=replace(base, mu=0.0),
-                         schemes=("cf", "af", "upper_bound"))
-    if name == "fig4":
-        return SweepSpec(axis="rho1_db", start=-10.0, stop=30.0, points=21,
-                         base=replace(base, mu=0.8),
-                         schemes=("cf", "af", "af_mu0", "upper_bound"))
-    if name == "fig5":
-        return SweepSpec(axis="rho1_db", start=-10.0, stop=30.0, points=21,
-                         base=replace(base, mu=0.8, alpha=0.6),
-                         schemes=("cf", "af", "af_mu0", "upper_bound"))
-    raise ConfigError(f"unknown figure {name!r}; choose fig3, fig4, or fig5")
+
+def figure_spec(name: str) -> SweepSpec:
+    """The sweep of the preset `name`, one of `FIGURES`."""
+    if name not in FIGURES:
+        *head, last = FIGURES
+        raise ConfigError(f"unknown figure {name!r}; choose {', '.join(head)}, or {last}")
+    axis, start, stop, points, schemes, changes = FIGURES[name]
+    return SweepSpec(axis, start, stop, points,
+                     parse_config({**DEFAULT_CONFIG_MAPPING, **changes}), schemes)

@@ -12,8 +12,6 @@ from wynerrelay import (
     QuadratureConfig,
     af_rate,
     af_rate_finite,
-    axis_values,
-    config_at,
     figure_spec,
     optimal_gain,
     parse_config,
@@ -225,8 +223,7 @@ class TestAfRate:
 
     def test_bit_identical_to_recorded(self):
         for name, index, expected in self.RECORDED:
-            spec = figure_spec(name)
-            cfg = config_at(spec, axis_values(spec)[index])
+            cfg = figure_spec(name).configs[index]
             assert af_rate(cfg, optimal_gain(cfg).gain).hex() == expected, (name, index)
 
     def test_each_sample_computed_once(self, monkeypatch):

@@ -10,9 +10,7 @@ import wynerrelay.cf
 from wynerrelay import (
     CfSolution,
     LagGains,
-    axis_values,
     cf_solve,
-    config_at,
     figure_spec,
     parse_config,
     rate_mcp,
@@ -88,8 +86,8 @@ def bisection(config):
 
 
 def preset_configs():
-    return [config_at(spec, value) for spec in map(figure_spec, ("fig3", "fig4", "fig5"))
-            for value in axis_values(spec)]
+    return [config for spec in map(figure_spec, ("fig3", "fig4", "fig5"))
+            for config in spec.configs]
 
 
 def log_uniform_configs(count, seed=20240611):

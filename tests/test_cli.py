@@ -1,5 +1,6 @@
 """Command-line front end: parsing, exit codes, byte-exact output."""
 
+import collections
 import dataclasses
 import json
 import os
@@ -12,7 +13,8 @@ import pytest
 
 import wynerrelay
 import wynerrelay.sweep
-from wynerrelay import PACKAGE_VERSION, LagGains, QuadratureConfig, cli, rate_mcp
+from wynerrelay import (FIGURES, PACKAGE_VERSION, LagGains, QuadratureConfig,
+                        SystemConfig, cli, emit, figure_spec, rate_mcp, run_sweep)
 from wynerrelay.cli import main
 
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
@@ -215,6 +217,29 @@ class TestFigureCommand:
     def test_unknown_figure(self, capfd):
         assert main(["figure", "fig9"]) == 1
 
+    @pytest.mark.parametrize("name", FIGURES)
+    def test_library_and_cli_agree(self, name, tmp_path):
+        target = tmp_path / f"{name}.csv"
+        assert main(["figure", name, "--output", str(target)]) == 0
+        assert target.read_bytes() == emit(run_sweep(figure_spec(name)))
+
+    # One base config and one per grid point; on fig4 and fig5 `af_mu0`
+    # also builds its mu = 0 copy of each point's config.
+    @pytest.mark.parametrize("name, builds", [("fig3", 18), ("fig4", 43), ("fig5", 43)])
+    def test_builds_each_point_once(self, name, builds, monkeypatch, tmp_path):
+        built = collections.Counter()
+        validate = SystemConfig.__post_init__
+
+        def counted(config):
+            built[name] += 1
+            validate(config)
+
+        monkeypatch.setattr(SystemConfig, "__post_init__", counted)
+        for flags in ([], ["--P-dB", "5"]):
+            built.clear()
+            assert main(["figure", name, *flags, "--output", str(tmp_path / "out.csv")]) == 0
+            assert built[name] == builds, flags
+
     def test_scheme_override_keeps_full_columns(self, capfd):
         def columns(flags):
             assert main(["figure", "fig4", *flags]) == 0
@@ -284,6 +309,21 @@ class TestConfigHandling:
     def test_invalid_field_value(self, capfd):
         assert main(["rate", "--mu", "-0.4"]) == 1
         assert "mu" in capfd.readouterr().err
+
+    @pytest.mark.parametrize("argv, named", [
+        (["rate", "--P-dB", "4000"], "P_dB"),
+        (["rate", "--Q-dB", "4000"], "Q_dB"),
+        (["sweep", "--axis", "rho1_db", "--start", "0", "--stop", "4000", "--points", "2"],
+         "rho1_db = 4000"),
+        (["sweep", "--axis", "rho2_db", "--start", "0", "--stop", "4000", "--points", "2"],
+         "rho2_db = 4000"),
+    ])
+    def test_decibels_beyond_the_largest_double(self, argv, named, capfd):
+        assert main(argv) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wynerrelay: error: ")
+        assert named in captured.err
 
 
 class TestExitCodes:

@@ -52,6 +52,14 @@ class TestDecibels:
         for lin in (1e-3, 0.5, 1.0, 42.0, 1e6):
             assert db_to_linear(10.0 * math.log10(lin)) == pytest.approx(lin, rel=1e-12)
 
+    def test_overflow_names_the_key(self):
+        with pytest.raises(ConfigError, match="^4000.0 dB overflows"):
+            db_to_linear(4000.0)
+        mapping = stock_mapping(Q_dB=4000.0)
+        del mapping["power_q"]
+        with pytest.raises(ConfigError, match="^Q_dB: 4000.0 dB overflows"):
+            parse_config(mapping)
+
 
 class TestLagGains:
     def test_fields(self):

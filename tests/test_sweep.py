@@ -15,9 +15,8 @@ from wynerrelay import (
     QuadratureConfig,
     SchemeError,
     SweepSpec,
-    axis_values,
     canonical_schemes,
-    config_at,
+    db_to_linear,
     emit,
     figure_spec,
     parse_config,
@@ -77,21 +76,25 @@ class TestCanonicalSchemes:
 
 class TestSweepSpec:
     def test_axis_values_hit_endpoints(self):
-        values = axis_values(small_spec(points=5))
+        values = small_spec(points=5).values
         assert values[0] == 0.0
         assert values[-1] == 0.5
         assert len(values) == 5
 
     def test_db_axis_sets_linear_power(self):
-        spec = small_spec(axis="rho1_db", start=-10.0, stop=30.0,
+        spec = small_spec(axis="rho1_db", start=0.0, stop=40.0,
                           base=base_config(noise1=2.0))
-        assert config_at(spec, 20.0).power_p == pytest.approx(200.0, rel=1e-12)
+        assert spec.values[1] == 20.0
+        assert spec.configs[1].power_p == pytest.approx(200.0, rel=1e-12)
         spec2 = small_spec(axis="rho2_db", start=0.0, stop=30.0)
-        assert config_at(spec2, 30.0).power_q == pytest.approx(1000.0, rel=1e-12)
+        assert spec2.values[-1] == 30.0
+        assert spec2.configs[-1].power_q == pytest.approx(1000.0, rel=1e-12)
 
     def test_linear_axis_replaces_field(self):
-        spec = small_spec(axis="power_q", start=1.0, stop=10.0)
-        assert config_at(spec, 7.0).power_q == 7.0
+        spec = small_spec(axis="power_q", start=1.0, stop=7.0)
+        assert spec.values[-1] == 7.0
+        assert spec.configs[-1].power_q == 7.0
+        assert spec.configs[-1] == dataclasses.replace(spec.base, power_q=7.0)
 
     def test_rejects_bad_axis(self):
         with pytest.raises(ConfigError, match="axis"):
@@ -109,7 +112,10 @@ class TestSweepSpec:
 
     def test_keeps_each_point_config(self):
         spec = small_spec(axis="rho1_db", start=0.0, stop=20.0)
-        assert spec.configs == tuple(config_at(spec, value) for value in axis_values(spec))
+        assert spec.configs == tuple(
+            dataclasses.replace(spec.base, power_p=db_to_linear(value))
+            for value in spec.values)
+        assert "values" not in repr(spec)
         assert "configs" not in repr(spec)
         moved = dataclasses.replace(spec, base=base_config(mu=0.2))
         assert all(config.mu == 0.2 for config in moved.configs)
@@ -284,8 +290,8 @@ class TestSweepReuse:
     def test_same_bits_as_point_by_point(self, make_spec):
         spec = make_spec()
         table = run_sweep(spec, diagnostics=True)
-        points = [run_point(config_at(spec, value), spec.schemes, diagnostics=True)
-                  for value in axis_values(spec)]
+        points = [run_point(config, spec.schemes, diagnostics=True)
+                  for config in spec.configs]
         alone = {name: [point[name] for point in points] for name in points[0]}
         assert hex_columns(table.columns) == hex_columns(alone)
 
