@@ -13,22 +13,11 @@ from wynerrelay import (
     parse_config,
     upper_bound,
 )
-
-STOCK = {
-    "alpha": 0.2,
-    "beta": 1.0,
-    "gamma": 1.0,
-    "eta": 0.2,
-    "mu": 0.4,
-    "P_dB": 10.0,
-    "Q_dB": 20.0,
-    "noise1": 1.0,
-    "noise2": 1.0,
-}
+from wynerrelay.model import DEFAULT_CONFIG_MAPPING
 
 
 def main():
-    config = parse_config(STOCK)
+    config = parse_config(DEFAULT_CONFIG_MAPPING)
     print(f"uplink SNR rho1 = {config.rho1:g}, relay SNR rho2 = {config.rho2:g}")
     print()
 
@@ -54,7 +43,7 @@ def main():
     # CF ignores the relay coupling entirely; AF pays for it.
     print("coupling sweep      cf        af")
     for mu in (0.0, 0.2, 0.4, 0.6, 0.8):
-        point = parse_config({**STOCK, "mu": mu})
+        point = parse_config({**DEFAULT_CONFIG_MAPPING, "mu": mu})
         af = af_rate(point, optimal_gain(point).gain)
         print(f"  mu = {mu:3.1f}     {cf_solve(point).rate:.6f}  {af:.6f}")
 

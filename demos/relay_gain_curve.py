@@ -12,18 +12,9 @@ from wynerrelay import (
     relay_output_power,
     simulate_relay_power,
 )
+from wynerrelay.model import DEFAULT_CONFIG_MAPPING
 
-CONFIG = parse_config({
-    "alpha": 0.2,
-    "beta": 1.0,
-    "gamma": 1.0,
-    "eta": 0.2,
-    "mu": 0.4,
-    "P_dB": 10.0,
-    "Q_dB": 20.0,
-    "noise1": 1.0,
-    "noise2": 1.0,
-})
+CONFIG = parse_config(DEFAULT_CONFIG_MAPPING)
 
 
 def main():

@@ -13,7 +13,6 @@ import dataclasses
 import json
 import math
 from collections import namedtuple
-from contextlib import contextmanager
 from dataclasses import dataclass, field, replace
 
 from .af import af_rate, af_rate_finite, optimal_gain, relay_output_power, \
@@ -36,15 +35,6 @@ class SchemeError(RuntimeError):
     """A scheme computation failed; the message names the scheme."""
 
 
-@contextmanager
-def _oracle():
-    """Tell a failed cross-check apart from a failed scheme solve."""
-    try:
-        yield
-    except (ValueError, ArithmeticError) as exc:
-        raise SchemeError(f"oracle: {exc}") from exc
-
-
 def _against(name: str, finite: float, value: float) -> dict:
     """A finite-ring cross-check column and its signed gap to the value."""
     return {f"{name}_oracle": finite, f"{name}_oracle_delta": finite - value}
@@ -58,67 +48,63 @@ def _once(solved: dict, key, solve, *args):
 
 
 # One function per scheme. Each runs its solve once and returns the rate,
-# its --verbose diagnostics and, given an oracle seed, its cross-check
-# columns built from that same solve. `solved` carries solves between the
-# points of a sweep, keyed on exactly the inputs each solve reads. The
-# layer functions are looked up through module names at call time, so
-# they can be wrapped.
+# its --verbose diagnostics and `oracle(seed)`, which builds the
+# cross-check columns from that same solve; the seed is the Monte Carlo
+# simulator's entropy. `solved` carries solves between the points of a
+# sweep, keyed on exactly the inputs each solve reads. The layer functions
+# are looked up through module names at call time, so they can be wrapped.
 
-def _cf(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
+def _cf(config: SystemConfig, quadrature: QuadratureConfig, solved):
     # The relays cancel their own echo, so the solve does not read mu.
     key = ("cf", config.first_lag, config.rho1, config.second_lag, config.rho2)
     solution = _once(solved, key, cf_solve, config)
     notes = {"cf_r_star": solution.r_star, "cf_residual": solution.residual}
-    if seed is None:
-        return solution.rate, notes, {}
-    with _oracle():
+
+    def oracle(seed):
         quantized = quantized_snr(config.rho1, solution.r_star)
         finite = rate_mcp_finite(config.first_lag, quantized, ORACLE_RING)
-    return solution.rate, notes, _against("cf", finite, solution.rate)
+        return _against("cf", finite, solution.rate)
+    return solution.rate, notes, oracle
 
 
-def _af(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
+def _af(config: SystemConfig, quadrature: QuadratureConfig, solved):
     gain = optimal_gain(config)
     rate = af_rate(config, gain.gain, quadrature)
     notes = {"af_gain": gain.gain, "af_power_residual": gain.residual}
-    if seed is None:
-        return rate, notes, {}
-    with _oracle():
+
+    def oracle(seed):
         finite = af_rate_finite(config, gain.gain, ORACLE_RING)
         simulated = simulate_relay_power(config, gain.gain, seed=seed)
         power = relay_output_power(gain.gain, config)
-    return rate, notes, {**_against("af", finite, rate),
-                         "af_sim_power": simulated.mean_power,
-                         "af_sim_se": simulated.std_error,
-                         "af_sim_delta": simulated.mean_power - power}
+        return {**_against("af", finite, rate),
+                "af_sim_power": simulated.mean_power,
+                "af_sim_se": simulated.std_error,
+                "af_sim_delta": simulated.mean_power - power}
+    return rate, notes, oracle
 
 
-def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
+def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, solved):
     quiet = replace(config, mu=0.0)
     gain = optimal_gain(quiet)
     rate = af_rate(quiet, gain.gain, quadrature)
-    notes = {"af_mu0_gain": gain.gain}
-    if seed is None:
-        return rate, notes, {}
-    with _oracle():
-        finite = af_rate_finite(quiet, gain.gain, ORACLE_RING)
-    return rate, notes, _against("af_mu0", finite, rate)
+
+    def oracle(seed):
+        return _against("af_mu0", af_rate_finite(quiet, gain.gain, ORACLE_RING), rate)
+    return rate, {"af_mu0_gain": gain.gain}, oracle
 
 
-def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, seed, solved):
+def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, solved):
     key = ("waterfill", config.second_lag, config.rho2, quadrature)
-    bound = upper_bound(config, quadrature,
-                        lambda *args: _once(solved, key, wyner.waterfill, *args))
-    # Silent relays run no waterfill and spend nothing.
-    fill = solved.get(key)
-    spent = 0.0 if fill is None else fill.spent_power
-    notes = {"upper_bound_power_residual": spent - config.rho2}
-    if seed is None:
-        return bound, notes, {}
-    with _oracle():
+    fill = _once(solved, key, wyner.waterfill,
+                 config.second_lag, config.rho2, quadrature)
+    bound = upper_bound(config, quadrature, fill)
+    notes = {"upper_bound_power_residual": fill.spent_power - config.rho2}
+
+    def oracle(seed):
         finite = min(rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING),
                      waterfill_finite(config.second_lag, config.rho2, ORACLE_RING))
-    return bound, notes, _against("upper_bound", finite, bound)
+        return _against("upper_bound", finite, bound)
+    return bound, notes, oracle
 
 
 # The registry, in canonical order: columns follow this order.
@@ -162,6 +148,9 @@ class SweepSpec:
         object.__setattr__(self, "points", _require_integer("points", self.points, 2))
         object.__setattr__(self, "schemes", canonical_schemes(self.schemes))
         span = self.stop - self.start
+        if not math.isfinite(span):
+            raise ConfigError(f"sweep span [{self.start}, {self.stop}] is too wide: "
+                              "stop - start overflows")
         values = tuple(self.start + span * (index / (self.points - 1))
                        for index in range(self.points))
         base, configs = self.base, []
@@ -189,9 +178,11 @@ def run_point(config: SystemConfig, schemes,
     diagnostics, solver internals (fixed-point location, relay gain,
     residuals); with an oracle seed (the Monte Carlo simulator's entropy),
     finite-ring and Monte Carlo cross-checks, each with its signed gap to
-    the reported value. Every returned value must be finite, every rate
-    non-negative and, when `upper_bound` is selected, no rate above it;
-    a failure raises SchemeError naming the scheme. A caller evaluating
+    the reported value. Only a seed runs the cross-checks, each right
+    after its scheme's solve. Every returned value must be finite, every
+    rate non-negative and, when `upper_bound` is selected, no rate above
+    it; a failure raises SchemeError naming the scheme, and a failed
+    cross-check names it as `<scheme>: oracle: ...`. A caller evaluating
     several points passes the same `solved` dict to each, and a solve
     whose inputs an earlier point shared is taken from it.
     """
@@ -200,12 +191,16 @@ def run_point(config: SystemConfig, schemes,
     rates, notes, checks = {}, {}, {}
     for name in canonical_schemes(schemes):
         try:
-            rate, extras, oracle = SCHEMES[name](config, quadrature, oracle_seed, solved)
-        except (ValueError, ArithmeticError, SchemeError) as exc:
+            rate, extras, oracle = SCHEMES[name](config, quadrature, solved)
+        except (ValueError, ArithmeticError) as exc:
             raise SchemeError(f"{name}: {exc}") from exc
+        try:
+            crosscheck = {} if oracle_seed is None else oracle(oracle_seed)
+        except (ValueError, ArithmeticError) as exc:
+            raise SchemeError(f"{name}: oracle: {exc}") from exc
         if not diagnostics:
             extras = {}
-        for column, value in {name: rate, **extras, **oracle}.items():
+        for column, value in {name: rate, **extras, **crosscheck}.items():
             if not math.isfinite(value):
                 raise SchemeError(
                     f"{name}: column {column} holds a non-finite value: {value!r}")
@@ -213,7 +208,7 @@ def run_point(config: SystemConfig, schemes,
             raise SchemeError(f"{name}: rate went negative: {rate}")
         rates[name] = rate
         notes.update(extras)
-        checks.update(oracle)
+        checks.update(crosscheck)
     bound = rates.get("upper_bound", math.inf)
     for name, rate in rates.items():
         if rate > bound:

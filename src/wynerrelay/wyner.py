@@ -39,11 +39,6 @@ def channel_response(lag: LagGains, f):
     return float(response) if response.ndim == 0 else response
 
 
-def _silent(lag: LagGains) -> bool:
-    """True when |H| stays below _POLE_GUARD; its peak local + 2*cross is at f = 0."""
-    return lag.local + 2.0 * lag.cross < _POLE_GUARD
-
-
 def rate_mcp(lag: LagGains, rho) -> float:
     """Per-cell sum-rate of the infinite ring with a flat transmit spectrum.
 
@@ -202,12 +197,13 @@ def waterfill(lag: LagGains, rho,
     The water level is closed form on the wet arcs (`_water_level`); the
     rate's integrand log2(1 + (level*H^2 - 1)+) goes straight to the
     periodic quadrature, which samples each abscissa's response and rate
-    once.
+    once. A dead hop, with rho = 0 or a peak response below the pole
+    guard, carries nothing: its solution is all zeros.
     """
-    rho = _require_finite("SNR", rho, "positive")
-    if _silent(lag):
-        raise ValueError(
-            f"waterfilling needs a response reaching {_POLE_GUARD} somewhere, got {lag}")
+    rho = _require_finite("SNR", rho, "nonnegative")
+    # |H| peaks at local + 2*cross, at f = 0.
+    if rho == 0.0 or lag.local + 2.0 * lag.cross < _POLE_GUARD:
+        return WaterfillSolution(level=0.0, rate=0.0, spent_power=0.0)
     level, spent = _water_level(lag, rho)
 
     def rate_values(f):
@@ -247,19 +243,17 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
 
 def upper_bound(config: SystemConfig,
                 quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-                fill=None) -> float:
+                fill: WaterfillSolution | None = None) -> float:
     """Cut-set-style cap: the weaker of the two hops, each at its best.
 
     The receiver-side hop is taken at the flat-spectrum rate; the
     relay-side hop gets the waterfilling benefit of full cooperation.
-    Silent relays, or relays whose gain toward every base station is below
-    the pole guard, carry nothing, so the cap is then 0. `fill`, called
-    as `waterfill` is, stands in for it: a caller that already holds the
-    second hop's solution passes it back that way.
+    `fill` is the second hop's `waterfill` solution, solved here when not
+    given. A dead second hop carries nothing, so the cap is then 0 and the
+    first hop is not evaluated.
     """
-    second = config.second_lag
-    if config.rho2 == 0.0 or _silent(second):
+    if fill is None:
+        fill = waterfill(config.second_lag, config.rho2, quadrature)
+    if fill.rate == 0.0:
         return 0.0
-    uplink = rate_mcp(config.first_lag, config.rho1)
-    downlink = (fill or waterfill)(second, config.rho2, quadrature).rate
-    return min(uplink, downlink)
+    return min(rate_mcp(config.first_lag, config.rho1), fill.rate)

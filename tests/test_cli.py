@@ -93,6 +93,19 @@ class TestRateCommand:
             rates = json.loads(capfd.readouterr().out)["rates"]
             assert rates == {"cf": 0.0, "af": 0.0, "af_mu0": 0.0, "upper_bound": 0.0}
 
+    def test_silent_relays_cap_an_overflowing_first_hop(self, tmp_path, capfd):
+        # The first hop's rate overflows at beta = 1e200, but silent relays
+        # carry nothing, so the bound is 0 without it.
+        path = tmp_path / "silent.json"
+        path.write_text(json.dumps({
+            "alpha": 0.2, "beta": 1e200, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
+            "power_p": 10.0, "power_q": 0.0, "noise1": 1.0, "noise2": 1.0,
+        }))
+        assert main(["rate", "--config", str(path), "--schemes", "upper_bound",
+                     "--verbose"]) == 0
+        assert capfd.readouterr().out == (
+            "quantity,value\nupper_bound,0\nupper_bound_power_residual,0\n")
+
     def test_cf_at_extreme_relay_snr(self, capfd):
         # The second hop is far stronger than the first, so CF reaches the
         # first hop's rate at P = 10 dB.
@@ -324,6 +337,15 @@ class TestConfigHandling:
         assert captured.out == ""
         assert captured.err.startswith("wynerrelay: error: ")
         assert named in captured.err
+
+    @pytest.mark.parametrize("axis", ["power_p", "rho1_db"])
+    def test_overflowing_span_is_named(self, axis, capfd):
+        assert main(["sweep", "--axis", axis, "--start=-1.7e308", "--stop=1.7e308",
+                     "--points", "3"]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("wynerrelay: error: sweep span [-1.7e+308, 1.7e+308] "
+                                "is too wide: stop - start overflows\n")
 
 
 class TestExitCodes:

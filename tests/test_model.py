@@ -224,7 +224,7 @@ class TestLoadConfig:
 LAG = LagGains(local=1.0, cross=0.2)
 ENTRY_POINTS = {
     "rate_mcp": lambda value: rate_mcp(LAG, value),
-    "waterfill": lambda value: waterfill(LAG, value),
+    "waterfill": lambda value: waterfill(LAG, value).rate,
     "af_rate": lambda value: af_rate(parse_config(stock_mapping()), value),
     "rate_mcp_finite": lambda value: rate_mcp_finite(LAG, 10.0, value),
     "SweepSpec": lambda value: SweepSpec(axis="mu", start=0.0, stop=0.5, points=value,
@@ -245,8 +245,8 @@ REFUSALS = [
     ("waterfill", "10", "SNR must be a real number, got '10'"),
     ("waterfill", math.inf, "SNR must be finite, got inf"),
     ("waterfill", math.nan, "SNR must be finite, got nan"),
-    ("waterfill", -1.0, "SNR must be positive, got -1.0"),
-    ("waterfill", 0.0, "SNR must be positive, got 0.0"),
+    ("waterfill", -1.0, "SNR must be nonnegative, got -1.0"),
+    ("waterfill", 0.0, None),
     ("af_rate", True, "relay gain must be a real number, got True"),
     ("af_rate", "0.5", "relay gain must be a real number, got '0.5'"),
     ("af_rate", math.inf, "relay gain must be finite, got inf"),

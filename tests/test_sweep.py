@@ -106,6 +106,12 @@ class TestSweepSpec:
         with pytest.raises(ConfigError):
             small_spec(points=1)
 
+    @pytest.mark.parametrize("axis", ["power_p", "rho1_db"])
+    def test_rejects_overflowing_span(self, axis):
+        # stop - start is inf, which would make the first point inf * 0 = nan.
+        with pytest.raises(ConfigError, match=r"^sweep span \[-1\.7e\+308, 1\.7e\+308\]"):
+            small_spec(axis=axis, start=-1.7e308, stop=1.7e308)
+
     def test_rejects_grid_leaving_valid_domain(self):
         with pytest.raises(ConfigError, match="-0.25"):
             small_spec(start=-0.25)
@@ -152,14 +158,18 @@ class TestRunPoint:
         with pytest.raises(SchemeError, match="upper_bound"):
             run_point(base_config(eta=0.6), ("upper_bound",), tiny)
 
-    def test_oracle_failure_names_scheme(self, monkeypatch):
-        def diverged(*args):
+    @pytest.mark.parametrize("scheme, checker", [
+        ("cf", "rate_mcp_finite"), ("af", "simulate_relay_power"),
+        ("af_mu0", "af_rate_finite"), ("upper_bound", "waterfill_finite")],
+        ids=SCHEME_ORDER)
+    def test_oracle_failure_names_scheme(self, monkeypatch, scheme, checker):
+        def diverged(*args, **kwargs):
             raise ArithmeticError("ring diverged")
 
-        monkeypatch.setattr(wynerrelay.sweep, "af_rate_finite", diverged)
-        assert run_point(base_config(), ("af_mu0",))["af_mu0"] > 0.0
-        with pytest.raises(SchemeError, match="^af_mu0: oracle: ring diverged$"):
-            run_point(base_config(), ("af_mu0",), oracle_seed=[1, 0])
+        monkeypatch.setattr(wynerrelay.sweep, checker, diverged)
+        assert run_point(base_config(), (scheme,))[scheme] > 0.0
+        with pytest.raises(SchemeError, match=f"^{scheme}: oracle: ring diverged$"):
+            run_point(base_config(), (scheme,), oracle_seed=[1, 0])
 
     def test_rates_checked_against_upper_bound(self, monkeypatch):
         monkeypatch.setattr(wynerrelay.sweep, "af_rate", lambda *args: 1e3)

@@ -331,10 +331,14 @@ class TestWaterfill:
         assert rates[0] < rates[1] < rates[2]
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(ValueError):
-            waterfill(LagGains(local=1.0, cross=0.2), 0.0)
-        with pytest.raises(ValueError):
-            waterfill(LagGains(local=0.0, cross=0.0), 10.0)
+        lag = LagGains(local=1.0, cross=0.2)
+        for rho in (-1.0, math.nan):
+            with pytest.raises(ValueError):
+                waterfill(lag, rho)
+        # A dead hop, silent or with no response, is a limit, not an error.
+        for lag, rho in ((lag, 0.0), (LagGains(local=0.0, cross=0.0), 10.0)):
+            solution = waterfill(lag, rho)
+            assert (solution.rate, solution.spent_power) == (0.0, 0.0)
 
 
 class TestUpperBound:
@@ -368,3 +372,11 @@ class TestUpperBound:
         bound = upper_bound(config)
         assert bound <= rate_mcp(config.first_lag, config.rho1)
         assert bound <= waterfill(config.second_lag, config.rho2).rate
+
+    def test_silent_relays_never_reach_the_first_hop(self):
+        # The first hop's rate overflows here, but silent relays cap the
+        # bound at 0 before it is needed.
+        config = self.config(power_q=0.0, beta=1e200)
+        with pytest.raises(ValueError, match="not finite"):
+            rate_mcp(config.first_lag, config.rho1)
+        assert upper_bound(config) == 0.0
