@@ -8,35 +8,33 @@ the base stations only through a layer of relays:
   (`rate_mcp_finite`, `waterfill_finite`);
 - a two-hop upper bound (`upper_bound`);
 - the amplify-and-forward achievable rate with the relay gain solved to
-  meet the power budget (`af_rate`, `optimal_gain`), validated by a ring
-  simulation (`simulate_relay_power`);
+  meet the power budget (`af_rate`, `optimal_gain`), its relay power
+  (`relay_output_power`) validated by a ring simulation
+  (`simulate_relay_power`);
 - the compress-and-forward achievable rate (`cf_solve`);
 - one-axis sweeps and their presets, serialized stably to CSV/JSON, behind
-  the `wynerrelay` CLI (`SweepSpec`, `run_sweep`, `emit`, `FIGURES`, `figure_spec`).
+  the `wynerrelay` CLI (`SweepSpec`, `run_point`, `run_sweep`, `emit`,
+  `FIGURES`, `figure_spec`).
+
+The top level exports the names above, the configuration types with
+`parse_config`, and the errors. Helpers such as `channel_response`,
+`uniform_grid` or `config_to_mapping` are imported from their modules.
 """
 
 from .model import (ConfigError, LagGains, SystemConfig, QuadratureConfig,
-                    PACKAGE_VERSION, config_to_mapping, db_to_linear,
-                    load_mapping, parse_config)
-from .numerics import ConvergenceError, integrate_periodic, uniform_grid
-from .wyner import (channel_response, rate_mcp, rate_mcp_finite, upper_bound,
-                    waterfill, waterfill_finite)
-from .af import (af_rate, af_rate_finite, optimal_gain, relay_output_power,
-                 simulate_relay_power)
-from .cf import CfSolution, cf_solve
-from .sweep import (FIGURES, SCHEME_ORDER, SchemeError, SweepSpec,
-                    canonical_schemes, emit, figure_spec, run_point, run_sweep)
+                    PACKAGE_VERSION, parse_config)
+from .numerics import ConvergenceError
+from .wyner import rate_mcp, rate_mcp_finite, upper_bound, waterfill, waterfill_finite
+from .af import af_rate, optimal_gain, relay_output_power, simulate_relay_power
+from .cf import cf_solve
+from .sweep import FIGURES, SchemeError, SweepSpec, emit, figure_spec, run_point, run_sweep
 
 __version__ = PACKAGE_VERSION
 
 __all__ = [
-    "CfSolution", "ConfigError", "ConvergenceError", "FIGURES", "LagGains",
-    "PACKAGE_VERSION", "QuadratureConfig", "SCHEME_ORDER", "SchemeError",
-    "SweepSpec", "SystemConfig", "af_rate", "af_rate_finite",
-    "canonical_schemes", "cf_solve", "channel_response", "config_to_mapping",
-    "db_to_linear", "emit", "figure_spec", "integrate_periodic",
-    "load_mapping", "optimal_gain", "parse_config",
-    "rate_mcp", "rate_mcp_finite", "relay_output_power", "run_point",
-    "run_sweep", "simulate_relay_power", "uniform_grid", "upper_bound",
-    "waterfill", "waterfill_finite",
+    "ConfigError", "ConvergenceError", "FIGURES", "LagGains", "QuadratureConfig",
+    "SchemeError", "SweepSpec", "SystemConfig", "af_rate", "cf_solve", "emit",
+    "figure_spec", "optimal_gain", "parse_config", "rate_mcp", "rate_mcp_finite",
+    "relay_output_power", "run_point", "run_sweep", "simulate_relay_power",
+    "upper_bound", "waterfill", "waterfill_finite",
 ]

@@ -122,10 +122,7 @@ def _config_from_args(args, changes=None):
 
 
 def _quadrature_from_args(args) -> QuadratureConfig:
-    return QuadratureConfig(initial_points=min(DEFAULT_QUADRATURE.initial_points,
-                                               args.quad_max_points),
-                            max_points=args.quad_max_points,
-                            rel_tol=args.quad_tol)
+    return QuadratureConfig(max_points=args.quad_max_points, rel_tol=args.quad_tol)
 
 
 def _schemes_from_args(args, fallback=_DEFAULT_SCHEMES):

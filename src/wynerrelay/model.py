@@ -3,7 +3,8 @@
 Channel gains are real amplitude gains. Transmit and noise powers are linear
 quantities; the two transmit powers may alternatively be given in dB when a
 configuration is read from a key-value mapping (see parse_config). Every rate
-produced by this package is in bits per channel use.
+produced by this package is in bits per channel use. The quadrature policy,
+QuadratureConfig, is set by its grid ceiling and tolerance alone.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 PACKAGE_VERSION = "0.1.0"
 
@@ -131,29 +132,26 @@ class SystemConfig:
 class QuadratureConfig:
     """Resolution and convergence policy for the periodic quadrature.
 
-    The grid starts at initial_points samples and doubles until successive
-    estimates agree to rel_tol (relative above magnitude one, absolute
-    below), giving up beyond max_points.
+    The grid starts at initial_points = min(64, max_points) samples, derived
+    rather than set, and doubles until successive estimates agree to rel_tol
+    (relative above magnitude one, absolute below), giving up beyond
+    max_points, a power of two no smaller than 8.
     """
 
-    initial_points: int = 64
     max_points: int = 2 ** 22
     rel_tol: float = 1e-10
+    initial_points: int = field(init=False)
 
     def __post_init__(self):
-        # max_points first: the CLI sets only it and derives initial_points,
-        # so a refusal should name the field the user gave.
         maximum = _require_integer("max_points", self.max_points, 8)
-        initial = _require_integer("initial_points", self.initial_points, 8)
-        for name, value in (("max_points", maximum), ("initial_points", initial)):
-            if (value & (value - 1)) != 0:
-                raise ConfigError(f"{name} must be a power of two, got {value}")
-            object.__setattr__(self, name, value)
-        _require_integer("max_points", maximum, initial)
+        if (maximum & (maximum - 1)) != 0:
+            raise ConfigError(f"max_points must be a power of two, got {maximum}")
         rel_tol = _require_finite("rel_tol", self.rel_tol)
         if not 0.0 < rel_tol < 1.0:
             raise ConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")
+        object.__setattr__(self, "max_points", maximum)
         object.__setattr__(self, "rel_tol", rel_tol)
+        object.__setattr__(self, "initial_points", min(64, maximum))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()

@@ -3,11 +3,13 @@
 The `af_rate` and `waterfill` rates run over one period of a periodic
 integrand, where the uniform-grid trapezoid rule converges spectrally on
 smooth integrands and at second order across the kinks of waterfill's
-clamp. The grids double, so they nest: `integrate_periodic_report` is the
+clamp. The grids start at min(64, max_points) points and double, so they
+nest. `integrate_periodic_report` is the ladder's one entry point and the
 one place that lays out the abscissae k/n, and it samples each of them
-once. The grid average over n equispaced points is also, bit for bit, the
-eigenvalue average of the corresponding n-cell circular model, which the
-finite-ring cross-checks rely on.
+once; it returns the value and the final grid size. The grid average over
+n equispaced points is also, bit for bit, the eigenvalue average of the
+corresponding n-cell circular model, which the finite-ring cross-checks
+rely on.
 """
 
 from __future__ import annotations
@@ -52,11 +54,11 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
     """Integrate over one period; return (value, points) at convergence.
 
     The sampler maps a float64 array of abscissae in [0, 1) to an array of
-    its shape. Grids k/n double from initial_points; convergence means
-    successive estimates within rel_tol * max(1, |estimate|). Only the
-    finest grid is held, and refining n to 2n samples only the n odd
-    abscissae (2j+1)/(2n): (2j)/(2n) == j/n exactly in binary floating
-    point, so each abscissa is sampled once.
+    its shape. Grids k/n double from initial_points = min(64, max_points);
+    convergence means successive estimates within rel_tol * max(1,
+    |estimate|). Only the finest grid is held, and refining n to 2n samples
+    only the n odd abscissae (2j+1)/(2n): (2j)/(2n) == j/n exactly in binary
+    floating point, so each abscissa is sampled once.
     """
     points = quadrature.initial_points
     values = sampler(uniform_grid(points))
@@ -77,8 +79,3 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
         f"quadrature did not settle within {quadrature.max_points} points",
         best_estimate=estimate)
 
-
-def integrate_periodic(sampler, quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
-    """The value of integrate_periodic_report, each abscissa sampled once."""
-    value, _ = integrate_periodic_report(sampler, quadrature)
-    return value

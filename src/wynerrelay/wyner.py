@@ -107,14 +107,6 @@ class WaterfillSolution:
     spent_power: float
 
 
-def _inverse_response_power(response: np.ndarray) -> np.ndarray:
-    """Subchannel floors 1/H^2, infinite where |H| is below _POLE_GUARD."""
-    with np.errstate(divide="ignore", over="ignore"):
-        inverse = 1.0 / np.square(response)
-    np.copyto(inverse, np.inf, where=np.abs(response) < _POLE_GUARD)
-    return inverse
-
-
 def _fill_integrals(z: float, one_plus_z: float):
     """(F, G): F = integral over [0, 1] of dx/(1 + z*x^2), G = (F - 1/(1 + z))/z.
 
@@ -229,8 +221,9 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
     """
     rho = _require_finite("SNR", rho, "nonnegative")
     cells = _require_integer("cell count", cells, 3)
-    floors = np.sort(_inverse_response_power(channel_response(lag, uniform_grid(cells))))
-    floors = floors[np.isfinite(floors)]
+    response = channel_response(lag, uniform_grid(cells))
+    # Modes below the pole guard get no power; the rest have floors 1/H^2 <= 1e300.
+    floors = np.sort(1.0 / np.square(response[np.abs(response) >= _POLE_GUARD]))
     if rho == 0.0 or floors.size == 0:
         return 0.0
     levels = (cells * rho + np.cumsum(floors)) / np.arange(1, floors.size + 1)

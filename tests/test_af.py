@@ -11,15 +11,14 @@ import wynerrelay.numerics
 from wynerrelay import (
     QuadratureConfig,
     af_rate,
-    af_rate_finite,
     figure_spec,
     optimal_gain,
     parse_config,
     relay_output_power,
     simulate_relay_power,
-    uniform_grid,
 )
-from wynerrelay.af import _gain_root
+from wynerrelay.af import _gain_root, af_rate_finite
+from wynerrelay.numerics import uniform_grid
 
 # Dense grid scan of relay_output_power (10^6 points over the stable gain
 # interval) at the reference relay setup, frozen from a scratch run.

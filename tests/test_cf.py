@@ -7,8 +7,8 @@ import random
 import pytest
 
 import wynerrelay.cf
+import wynerrelay.wyner
 from wynerrelay import (
-    CfSolution,
     LagGains,
     cf_solve,
     figure_spec,
@@ -17,6 +17,7 @@ from wynerrelay import (
     upper_bound,
     waterfill,
 )
+from wynerrelay.cf import CfSolution
 
 # Scalar no-interference collapse (alpha=eta=0, beta=gamma=1, SNRs 10 and
 # 100), frozen from a 200-iteration scalar bisection on
@@ -216,6 +217,43 @@ class TestCfLimits:
         cfg = config(power_q=100.0 * 1e4)
         limit = rate_mcp(cfg.first_lag, cfg.rho1)
         assert cf_solve(cfg).rate == pytest.approx(limit, abs=1e-3)
+
+    @staticmethod
+    def bound_gap_error(gamma, eta, q_db):
+        """Relative error of (upper_bound - cf)*rho2 against its large-Q limit.
+
+        At large Q the bound is the uplink rate R1(rho1), and cf is
+        R1(rho1*(1 - 2^-r*)) ~ R1 - rho1*R1'(rho1)*2^-r*, with r* -> C2 - R1.
+        By Jensen's formula 2^C2 ~ rho2*kappa^2, where kappa, the geometric
+        mean of |H2|, is (gamma + sqrt(gamma^2 - 4*eta^2))/2 if gamma >= 2*eta
+        and eta otherwise. So the gap times rho2 tends to
+        rho1*R1'(rho1)*2^R1(rho1)/kappa^2.
+        """
+        cfg = config(gamma=gamma, eta=eta, power_q=10.0 ** (q_db / 10.0))
+        if gamma >= 2.0 * eta:
+            kappa = (gamma + math.sqrt(gamma**2 - 4.0 * eta**2)) / 2.0
+        else:
+            kappa = eta
+        uplink = rate_mcp(cfg.first_lag, cfg.rho1)
+        limit = (cfg.rho1 * wynerrelay.wyner.rate_mcp_slope(cfg.first_lag, cfg.rho1)
+                 * 2.0**uplink / kappa**2)
+        solution = cf_solve(cfg)
+        # cf's own error, |cf_residual|, is far below the gap being measured.
+        assert cfg.rho2 * abs(solution.residual) <= 1e-4 * limit
+        return (upper_bound(cfg) - solution.rate) * cfg.rho2 / limit - 1.0
+
+    @pytest.mark.parametrize("gamma, eta", [(1.0, 0.2), (1.0, 0.0)])
+    def test_gap_to_bound_falls_as_one_over_relay_snr(self, gamma, eta):
+        errors = [self.bound_gap_error(gamma, eta, q_db) for q_db in (30.0, 40.0, 50.0, 60.0)]
+        assert abs(errors[-1]) <= 1e-4
+        assert all(abs(finer) * 5.0 <= abs(coarser)
+                   for coarser, finer in zip(errors[:2], errors[1:3]))
+
+    def test_gap_to_bound_with_nulls_converges_slower(self):
+        # Nulls in the second hop slow the approach: simple nulls (eta 0.6)
+        # are still 3e-3 off at 60 dB, and the double null (eta 0.5) 6e-2,
+        # so only the simple nulls are held to a bound.
+        assert abs(self.bound_gap_error(1.0, 0.6, 60.0)) <= 1e-2
 
     def test_strict_gap_under_waterfilling(self):
         # Even with unbounded uplink SNR the scheme stays below the

@@ -13,9 +13,10 @@ import pytest
 
 import wynerrelay
 import wynerrelay.sweep
-from wynerrelay import (FIGURES, PACKAGE_VERSION, LagGains, QuadratureConfig,
-                        SystemConfig, cli, emit, figure_spec, rate_mcp, run_sweep)
+from wynerrelay import (FIGURES, LagGains, QuadratureConfig, SystemConfig, cli, emit,
+                        figure_spec, rate_mcp, run_sweep)
 from wynerrelay.cli import main
+from wynerrelay.model import PACKAGE_VERSION
 
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
 ALL_SCHEMES_REVERSED = "upper_bound,af_mu0,af,cf"
@@ -76,6 +77,18 @@ class TestRateCommand:
         metadata = json.loads(capfd.readouterr().out)["metadata"]
         assert metadata["oracle_seed"] == 1234
         assert metadata["oracle_ring_cells"] == 4096
+
+    def test_json_metadata_records_the_first_grid(self, capfd):
+        # The first grid is derived from --quad-max-points, and the metadata
+        # still records it.
+        assert main(["rate", "--format", "json"]) == 0
+        metadata = json.loads(capfd.readouterr().out)["metadata"]
+        assert metadata["quadrature"] == {
+            "initial_points": 64, "max_points": 4194304, "rel_tol": 1e-10}
+        assert main(["rate", "--format", "json", "--schemes", "cf",
+                     "--quad-max-points", "16"]) == 0
+        metadata = json.loads(capfd.readouterr().out)["metadata"]
+        assert metadata["quadrature"]["initial_points"] == 16
 
     def test_degenerate_configs_return_their_limit(self, tmp_path, capfd):
         # Silent relays, and relays whose gain toward every base station is
@@ -425,8 +438,7 @@ class TestParserReuse:
     def test_quadrature_flags_follow_the_library_defaults(self, monkeypatch, capfd):
         monkeypatch.setenv("COLUMNS", "80")
         monkeypatch.setattr(cli, "DEFAULT_QUADRATURE",
-                            QuadratureConfig(initial_points=16, max_points=2 ** 10,
-                                             rel_tol=1e-7))
+                            QuadratureConfig(max_points=2 ** 10, rel_tol=1e-7))
         parser = cli._build_parser.__wrapped__()
         args = parser.parse_args(["rate"])
         assert (args.quad_tol, args.quad_max_points) == (1e-7, 2 ** 10)

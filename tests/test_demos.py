@@ -1,11 +1,13 @@
-"""Every script in demos/ runs to completion."""
+"""Every script in demos/ and README's library example run to completion."""
 
+import re
 import runpy
 from pathlib import Path
 
 import pytest
 
-DEMOS = sorted((Path(__file__).parents[1] / "demos").glob("*.py"))
+ROOT = Path(__file__).parents[1]
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 
 def test_demos_found():
@@ -17,3 +19,13 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     runpy.run_path(str(script), run_name="__main__")
     assert capsys.readouterr().out
+
+
+def test_readme_library_example_runs(tmp_path, monkeypatch):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    example = re.search(r"^```python\n(.*?)^```$", section, re.M | re.S).group(1)
+    monkeypatch.chdir(tmp_path)
+    namespace = {}
+    exec(compile(example, "README.md", "exec"), namespace)
+    assert 0.0 < namespace["cf"].rate <= namespace["ceiling"]

@@ -12,16 +12,14 @@ from wynerrelay import (
     SweepSpec,
     SystemConfig,
     af_rate,
-    config_to_mapping,
-    db_to_linear,
-    load_mapping,
     parse_config,
     rate_mcp,
     rate_mcp_finite,
     simulate_relay_power,
-    uniform_grid,
     waterfill,
 )
+from wynerrelay.model import config_to_mapping, db_to_linear, load_mapping
+from wynerrelay.numerics import uniform_grid
 
 
 def stock_mapping(**overrides):
@@ -177,17 +175,18 @@ class TestQuadratureConfig:
 
     def test_rejects_non_power_of_two(self):
         with pytest.raises(ConfigError):
-            QuadratureConfig(initial_points=48)
-        with pytest.raises(ConfigError):
             QuadratureConfig(max_points=3_000_000)
 
     def test_rejects_too_small(self):
         with pytest.raises(ConfigError):
-            QuadratureConfig(initial_points=4)
+            QuadratureConfig(max_points=4)
 
-    def test_rejects_max_below_initial(self):
-        with pytest.raises(ConfigError):
-            QuadratureConfig(initial_points=256, max_points=128)
+    def test_initial_points_derived_from_max_points(self):
+        # The first grid is min(64, max_points), derived rather than set.
+        assert QuadratureConfig(max_points=8).initial_points == 8
+        assert QuadratureConfig(max_points=128).initial_points == 64
+        with pytest.raises(TypeError):
+            QuadratureConfig(initial_points=64)
 
     def test_rejects_bad_tolerance(self):
         for tol in (0.0, 1.0, -1e-9, math.nan):

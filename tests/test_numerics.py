@@ -6,15 +6,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from wynerrelay import (
-    ConvergenceError,
-    QuadratureConfig,
-    integrate_periodic,
-    uniform_grid,
-)
-from wynerrelay.numerics import _grid_average, integrate_periodic_report
+from wynerrelay import ConvergenceError, QuadratureConfig
+from wynerrelay.numerics import _grid_average, integrate_periodic_report, uniform_grid
 
-TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
+TIGHT = QuadratureConfig(max_points=2**22, rel_tol=1e-12)
 
 
 class TestUniformGrid:
@@ -31,24 +26,24 @@ class TestUniformGrid:
 
 class TestIntegratePeriodic:
     def test_constant_is_exact(self):
-        assert integrate_periodic(lambda x: np.full_like(x, 3.5), TIGHT) == 3.5
+        assert integrate_periodic_report(lambda x: np.full_like(x, 3.5), TIGHT)[0] == 3.5
 
     def test_full_period_cosine_vanishes(self):
-        value = integrate_periodic(lambda x: np.cos(2 * np.pi * x), TIGHT)
+        value = integrate_periodic_report(lambda x: np.cos(2 * np.pi * x), TIGHT)[0]
         assert abs(value) <= 1e-14
 
     def test_cosine_squared(self):
         # Trapezoid rule on a uniform grid integrates cos^2 exactly
         # once the grid resolves the second harmonic.
-        value = integrate_periodic(lambda x: np.cos(2 * np.pi * x) ** 2, TIGHT)
+        value = integrate_periodic_report(lambda x: np.cos(2 * np.pi * x) ** 2, TIGHT)[0]
         assert value == pytest.approx(0.5, abs=1e-15)
 
     def test_shift_invariance(self):
         def integrand(shift):
             return lambda x: np.log1p(10.0 * (1.0 + 0.4 * np.cos(2 * np.pi * (x + shift))) ** 2)
 
-        base = integrate_periodic(integrand(0.0), TIGHT)
-        shifted = integrate_periodic(integrand(0.3), TIGHT)
+        base = integrate_periodic_report(integrand(0.0), TIGHT)[0]
+        shifted = integrate_periodic_report(integrand(0.3), TIGHT)[0]
         assert shifted == pytest.approx(base, rel=1e-11)
 
     def test_report_matches_final_grid_average(self):
@@ -58,16 +53,26 @@ class TestIntegratePeriodic:
         value, points = integrate_periodic_report(integrand, TIGHT)
         assert value == np.mean(integrand(uniform_grid(points)))
 
-    def test_doubling_starts_at_initial_points(self):
-        _, points = integrate_periodic_report(np.ones_like, QuadratureConfig(initial_points=128))
-        assert points == 256
+    def test_doubling_starts_at_min_64_and_max_points(self):
+        sizes = []
+
+        def sampler(f):
+            sizes.append(f.size)
+            return np.ones_like(f)
+
+        integrate_periodic_report(sampler, QuadratureConfig())
+        with pytest.raises(ConvergenceError):
+            integrate_periodic_report(sampler, QuadratureConfig(max_points=16))
+        # A constant settles on the first doubling, 64 odd points past the
+        # first grid; below 64 points the first grid is the last.
+        assert sizes == [64, 64, 16]
 
     def test_unconverged_raises_with_best_estimate(self):
-        # The kink at x = 1/4 defeats spectral accuracy, so two grids
-        # are not enough to meet the tolerance.
-        quad = QuadratureConfig(initial_points=8, max_points=16, rel_tol=1e-10)
+        # The kink at x = 1/4 defeats spectral accuracy, so the one grid
+        # that max_points allows cannot meet the tolerance.
+        quad = QuadratureConfig(max_points=16, rel_tol=1e-10)
         with pytest.raises(ConvergenceError) as excinfo:
-            integrate_periodic(lambda x: np.abs(np.cos(2 * np.pi * x)), quad)
+            integrate_periodic_report(lambda x: np.abs(np.cos(2 * np.pi * x)), quad)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate == pytest.approx(2.0 / math.pi, abs=0.05)
         assert str(excinfo.value) == (
@@ -80,7 +85,7 @@ class TestIntegratePeriodic:
                 return 1.0 / x
 
         with pytest.raises(ValueError, match="f = 0"):
-            integrate_periodic(integrand, TIGHT)
+            integrate_periodic_report(integrand, TIGHT)
 
 
 class TestGridAverage:
@@ -102,7 +107,7 @@ class TestGridAverage:
             return np.where(f == 3 / 128, np.nan, np.cos(2 * np.pi * f))
 
         with pytest.raises(ValueError, match=r"f = 3/128 = 0\.0234375$"):
-            integrate_periodic(integrand, TIGHT)
+            integrate_periodic_report(integrand, TIGHT)
 
     def test_opposite_infinities_name_the_first(self):
         values = np.zeros(16)
@@ -129,7 +134,7 @@ class TestNestedGrids:
             return values(f)
 
         finest = 2**10
-        quad = QuadratureConfig(initial_points=8, max_points=finest)
+        quad = QuadratureConfig(max_points=finest)
         with pytest.raises(ConvergenceError) as excinfo:
             integrate_periodic_report(sampler, quad)
         assert excinfo.value.best_estimate == np.mean(values(uniform_grid(finest)))
@@ -140,12 +145,14 @@ class TestNestedGrids:
     def test_doubling_allocates_at_most_four_old_grids(self):
         # The old grid, the new odd samples and the merged grid of twice the
         # size; the sampler's abscissae and temporaries are gone before the
-        # merged grid exists. Allocating it first would make five.
+        # merged grid exists. Allocating it first would make five. The
+        # sawtooth's grid averages 1/2 - 1/(2n) never settle, so the ladder
+        # climbs to max_points and its last doubling starts from `size`.
         size = 2**16
         tracemalloc.start()
         try:
-            integrate_periodic_report(np.cos, QuadratureConfig(
-                initial_points=size, max_points=2 * size, rel_tol=0.5))
+            with pytest.raises(ConvergenceError):
+                integrate_periodic_report(np.positive, QuadratureConfig(max_points=2 * size))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

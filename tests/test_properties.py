@@ -5,9 +5,9 @@ from dataclasses import replace
 
 import pytest
 
-from wynerrelay import (LagGains, SystemConfig, cf_solve, db_to_linear, optimal_gain,
-                        rate_mcp, run_point, waterfill)
-from wynerrelay.model import DEFAULT_QUADRATURE
+from wynerrelay import (LagGains, SystemConfig, cf_solve, optimal_gain, rate_mcp,
+                        run_point, waterfill)
+from wynerrelay.model import DEFAULT_QUADRATURE, db_to_linear
 from wynerrelay.sweep import SCHEME_ORDER
 from wynerrelay.wyner import _water_level
 
@@ -80,7 +80,7 @@ def test_rates_over_the_rate_query_ranges(alpha, beta, mu, p_db, gamma, eta_shar
 def test_water_level_spends_budget_on_second_hops_with_nulls(gamma, eta_share, q_db):
     # eta above gamma/2 puts a null of H inside the band. Only the level is
     # drawn here: the rate's trapezoid ladder does not settle within its
-    # 2^22 points on many clamped hops above about 60 dB (ROADMAP item 6).
+    # 2^22 points on many clamped hops above about 60 dB (ROADMAP item 2).
     lag = LagGains(local=gamma, cross=eta_share * gamma)
     rho = db_to_linear(q_db)
     _, spent = _water_level(lag, rho)

@@ -10,19 +10,18 @@ import pytest
 import wynerrelay.sweep
 import wynerrelay.wyner
 from wynerrelay import (
-    SCHEME_ORDER,
     ConfigError,
     QuadratureConfig,
     SchemeError,
     SweepSpec,
-    canonical_schemes,
-    db_to_linear,
     emit,
     figure_spec,
     parse_config,
     run_point,
     run_sweep,
 )
+from wynerrelay.model import db_to_linear
+from wynerrelay.sweep import SCHEME_ORDER, canonical_schemes
 
 
 RATE_POOL = Path(__file__).parents[1] / "perfbench" / "reference" / "rate_points.json"
@@ -154,7 +153,7 @@ class TestRunPoint:
         assert {"cf_r_star", "cf_residual", "af_gain", "af_power_residual"} <= set(verbose)
 
     def test_failure_names_scheme(self):
-        tiny = QuadratureConfig(initial_points=8, max_points=8)
+        tiny = QuadratureConfig(max_points=8)
         with pytest.raises(SchemeError, match="upper_bound"):
             run_point(base_config(eta=0.6), ("upper_bound",), tiny)
 
@@ -223,7 +222,7 @@ class TestRunSweep:
             assert stitched == full.columns[name]
 
     def test_failure_reports_axis_value(self):
-        tiny = QuadratureConfig(initial_points=8, max_points=8)
+        tiny = QuadratureConfig(max_points=8)
         spec = small_spec(axis="power_q", start=1.0, stop=2.0,
                           base=base_config(eta=0.6))
         with pytest.raises(SchemeError, match="power_q = 1"):

@@ -10,19 +10,17 @@ from wynerrelay import (
     LagGains,
     QuadratureConfig,
     cf_solve,
-    channel_response,
-    integrate_periodic,
     parse_config,
     rate_mcp,
     rate_mcp_finite,
-    uniform_grid,
     upper_bound,
     waterfill,
     waterfill_finite,
 )
-from wynerrelay.numerics import integrate_periodic_report
+from wynerrelay.numerics import integrate_periodic_report, uniform_grid
+from wynerrelay.wyner import channel_response
 
-TIGHT = QuadratureConfig(initial_points=64, max_points=2**22, rel_tol=1e-12)
+TIGHT = QuadratureConfig(max_points=2**22, rel_tol=1e-12)
 
 # Discrete waterfilling on a 2^20 uniform subchannel grid, frozen from a
 # sort-and-fill reference run for lag (cross 0.2, local 1) at SNR 100.
@@ -93,7 +91,7 @@ class TestRateMcp:
             response = -1.0 + 0.4 * np.cos(2.0 * np.pi * x)
             return np.log1p(10.0 * response**2) / math.log(2.0)
 
-        assert integrate_periodic(negated, TIGHT) == pytest.approx(
+        assert integrate_periodic_report(negated, TIGHT)[0] == pytest.approx(
             rate_mcp(lag, 10.0), rel=1e-10
         )
 
@@ -102,7 +100,7 @@ class TestRateMcp:
             for b in (0.0, 0.1, 0.5, 1.0, 3.0):
                 lag = LagGains(local=a, cross=b)
                 for rho in np.logspace(-6.0, 8.0, 15):
-                    reference = integrate_periodic(
+                    reference, _ = integrate_periodic_report(
                         lambda f: np.log1p(rho * channel_response(lag, f) ** 2)
                         / math.log(2.0), TIGHT)
                     assert rate_mcp(lag, rho) == pytest.approx(
@@ -186,15 +184,15 @@ class TestRateMcpFinite:
             rate_mcp_finite(LagGains(local=1.0, cross=0.2), 10.0, 2)
 
     def test_trapezoid_circulant_identity(self):
-        # Pinning the adaptive grid to N points must reproduce the N-cell
-        # ring average bit for bit: same samples, same reduction.
+        # The adaptive grid's value at its final N points must reproduce the
+        # N-cell ring average bit for bit: same samples, same reduction.
         lag = LagGains(local=1.0, cross=0.2)
-        pinned = QuadratureConfig(initial_points=2048, max_points=4096, rel_tol=1e-10)
 
         def integrand(f):
             return np.log1p(10.0 * np.square(channel_response(lag, f))) / math.log(2.0)
 
-        assert integrate_periodic(integrand, pinned) == rate_mcp_finite(lag, 10.0, 4096)
+        value, points = integrate_periodic_report(integrand)
+        assert value == rate_mcp_finite(lag, 10.0, points)
 
 
 class TestWaterfill:
