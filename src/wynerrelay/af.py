@@ -175,16 +175,17 @@ class MonteCarloPower:
 
 
 def simulate_relay_power(config: SystemConfig, gain, *, symbols: int = 1 << 20,
-                         seed=1234) -> MonteCarloPower:
+                         seed) -> MonteCarloPower:
     """Simulate the 64-cell AF ring and measure the relay transmit power.
 
     Mobiles send fresh circularly symmetric Gaussian symbols each step;
     every relay retransmits its previously received sample scaled by
     `gain` (unit delay). The first _WARMUP_SYMBOLS symbols are discarded,
-    then at least `symbols` further symbols are averaged. The standard error
-    comes from 64 sequential batch means, independent only when a batch spans
-    many mixing times 1/(1 - 2*mu*g): on fig4 at P = -10 dB that is 105,257
-    steps, while 2^20 symbols simulate 16,384.
+    then at least `symbols` further symbols are averaged. `seed` has no
+    default: it is any `numpy.random.default_rng` seed, and the caller picks
+    it. The standard error comes from 64 sequential batch means, independent
+    only when a batch spans many mixing times 1/(1 - 2*mu*g): on fig4 at
+    P = -10 dB that is 105,257 steps, while 2^20 symbols simulate 16,384.
     """
     gain = _check_gain(gain, config.mu)
     symbols = _require_integer("symbol count", symbols, 1)

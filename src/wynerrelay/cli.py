@@ -159,7 +159,7 @@ def _run_table(args, figure: Figure) -> bytes:
                      _config_from_args(args, figure.config),
                      _schemes_from_args(args, figure.schemes))
     table = run_sweep(spec, _quadrature_from_args(args), diagnostics=args.verbose,
-                      oracle=args.oracle, seed=args.seed)
+                      oracle_seed=args.seed if args.oracle else None)
     return emit(table, args.format)
 
 
@@ -189,10 +189,8 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
     except SystemExit as exit_request:
-        code = exit_request.code
-        if code is None:
-            return 0
-        return code if isinstance(code, int) else 1
+        # argparse exits with None (help, --version) or an int.
+        return exit_request.code or 0
     runners = {"rate": _run_rate, "sweep": _run_sweep, "figure": _run_figure}
     try:
         _check_run_args(args)

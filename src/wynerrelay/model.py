@@ -132,10 +132,10 @@ class SystemConfig:
 class QuadratureConfig:
     """Resolution and convergence policy for the periodic quadrature.
 
-    The grid starts at initial_points = min(64, max_points) samples, derived
-    rather than set, and doubles until successive estimates agree to rel_tol
-    (relative above magnitude one, absolute below), giving up beyond
-    max_points, a power of two no smaller than 8.
+    The grid starts at initial_points = min(64, max_points // 2) samples, so
+    that any ceiling compares two grids, and doubles until successive
+    estimates agree to rel_tol (relative above magnitude one, absolute
+    below), giving up beyond max_points, a power of two no smaller than 8.
     """
 
     max_points: int = 2 ** 22
@@ -151,7 +151,7 @@ class QuadratureConfig:
             raise ConfigError(f"rel_tol must lie in (0, 1), got {rel_tol}")
         object.__setattr__(self, "max_points", maximum)
         object.__setattr__(self, "rel_tol", rel_tol)
-        object.__setattr__(self, "initial_points", min(64, maximum))
+        object.__setattr__(self, "initial_points", min(64, maximum // 2))
 
 
 DEFAULT_QUADRATURE = QuadratureConfig()
@@ -180,7 +180,8 @@ def parse_config(source) -> SystemConfig:
     Gains and noise powers are linear. Each transmit power is given either
     linearly (power_p, power_q) or in dB (P_dB, Q_dB); supplying both forms
     of the same power is an error, as are unknown keys, missing keys, and
-    non-finite values. Error messages name the offending key.
+    non-finite values; `SystemConfig` checks the fields, and this only the
+    dB values. Error messages name the offending key.
     """
     entries = dict(source)
     known = {*_LINEAR_KEYS, *_POWER_KEYS, *_POWER_KEYS.values()}
@@ -192,14 +193,14 @@ def parse_config(source) -> SystemConfig:
     for key in _LINEAR_KEYS:
         if key not in entries:
             raise ConfigError(f"missing config key '{key}'")
-        kwargs[key] = _require_finite(key, entries[key])
+        kwargs[key] = entries[key]
     for linear_key, db_key in _POWER_KEYS.items():
         if linear_key in entries and db_key in entries:
             raise ConfigError(
                 f"config keys '{linear_key}' and '{db_key}' both present; "
                 "give the power in exactly one form")
         if linear_key in entries:
-            kwargs[linear_key] = _require_finite(linear_key, entries[linear_key])
+            kwargs[linear_key] = entries[linear_key]
         elif db_key in entries:
             value_db = _require_finite(db_key, entries[db_key])
             try:

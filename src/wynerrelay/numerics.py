@@ -3,13 +3,13 @@
 The `af_rate` and `waterfill` rates run over one period of a periodic
 integrand, where the uniform-grid trapezoid rule converges spectrally on
 smooth integrands and at second order across the kinks of waterfill's
-clamp. The grids start at min(64, max_points) points and double, so they
-nest. `integrate_periodic_report` is the ladder's one entry point and the
-one place that lays out the abscissae k/n, and it samples each of them
-once; it returns the value and the final grid size. The grid average over
-n equispaced points is also, bit for bit, the eigenvalue average of the
-corresponding n-cell circular model, which the finite-ring cross-checks
-rely on.
+clamp. The grids start at min(64, max_points // 2) points and double, so
+they nest and any ceiling compares two. `integrate_periodic_report` is the
+ladder's one entry point and the one place that lays out the abscissae
+k/n, and it samples each of them once; it returns the value and the final
+grid size. The grid average over n equispaced points is also, bit for
+bit, the eigenvalue average of the corresponding n-cell circular model,
+which the finite-ring cross-checks rely on.
 """
 
 from __future__ import annotations
@@ -54,11 +54,11 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
     """Integrate over one period; return (value, points) at convergence.
 
     The sampler maps a float64 array of abscissae in [0, 1) to an array of
-    its shape. Grids k/n double from initial_points = min(64, max_points);
-    convergence means successive estimates within rel_tol * max(1,
-    |estimate|). Only the finest grid is held, and refining n to 2n samples
-    only the n odd abscissae (2j+1)/(2n): (2j)/(2n) == j/n exactly in binary
-    floating point, so each abscissa is sampled once.
+    its shape. Grids k/n double from initial_points = min(64,
+    max_points // 2); convergence means successive estimates within
+    rel_tol * max(1, |estimate|). Only the finest grid is held, and refining
+    n to 2n samples only the n odd abscissae (2j+1)/(2n): (2j)/(2n) == j/n
+    exactly in binary floating point, so each abscissa is sampled once.
     """
     points = quadrature.initial_points
     values = sampler(uniform_grid(points))

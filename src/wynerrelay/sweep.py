@@ -97,7 +97,7 @@ def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, solved):
     key = ("waterfill", config.second_lag, config.rho2, quadrature)
     fill = _once(solved, key, wyner.waterfill,
                  config.second_lag, config.rho2, quadrature)
-    bound = upper_bound(config, quadrature, fill)
+    bound = upper_bound(config, fill)
     notes = {"upper_bound_power_residual": fill.spent_power - config.rho2}
 
     def oracle(seed):
@@ -237,21 +237,21 @@ def run_metadata(quadrature: QuadratureConfig, oracle_seed=None) -> dict:
 
 
 def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-              *, diagnostics: bool = False, oracle: bool = False,
-              seed: int = 1234) -> SweepTable:
+              *, diagnostics: bool = False, oracle_seed=None) -> SweepTable:
     """Evaluate the sweep point by point, in grid order.
 
-    A solve that the swept quantity does not reach runs once per sweep:
-    on a mu axis `cf_solve` and the second hop's `waterfill`, and on a
-    first-hop power axis that `waterfill`.
+    Point i runs `run_point` with oracle seed [oracle_seed, i], so no seed
+    means no cross-checks. A solve that the swept quantity does not reach
+    runs once per sweep: on a mu axis `cf_solve` and the second hop's
+    `waterfill`, and on a first-hop power axis that `waterfill`.
     """
     solved = {}
     results = []
     for index, (value, config) in enumerate(zip(spec.values, spec.configs)):
+        seed = None if oracle_seed is None else [oracle_seed, index]
         try:
             results.append(run_point(config, spec.schemes, quadrature,
-                                     diagnostics=diagnostics,
-                                     oracle_seed=[seed, index] if oracle else None,
+                                     diagnostics=diagnostics, oracle_seed=seed,
                                      solved=solved))
         except SchemeError as exc:
             raise SchemeError(f"at {spec.axis} = {value:.12g}: {exc}") from exc
@@ -264,7 +264,7 @@ def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
         "points": spec.points,
         "schemes": list(spec.schemes),
         "base_config": config_to_mapping(spec.base),
-        **run_metadata(quadrature, seed if oracle else None),
+        **run_metadata(quadrature, oracle_seed),
     }
     return SweepTable(axis=spec.axis, axis_values=spec.values,
                       columns=columns, metadata=metadata)

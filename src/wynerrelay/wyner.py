@@ -35,8 +35,7 @@ _POLE_GUARD = 1e-150
 def channel_response(lag: LagGains, f):
     """H(f) = local + 2*cross*cos(2*pi*f); sign is irrelevant downstream."""
     f = np.asarray(f, dtype=np.float64)
-    response = lag.local + 2.0 * lag.cross * np.cos(2.0 * np.pi * f)
-    return float(response) if response.ndim == 0 else response
+    return lag.local + 2.0 * lag.cross * np.cos(2.0 * np.pi * f)
 
 
 def rate_mcp(lag: LagGains, rho) -> float:
@@ -234,19 +233,17 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
     return float(np.sum(np.log1p((level - active) / active)) / (cells * _LN2))
 
 
-def upper_bound(config: SystemConfig,
-                quadrature: QuadratureConfig = DEFAULT_QUADRATURE,
-                fill: WaterfillSolution | None = None) -> float:
+def upper_bound(config: SystemConfig, fill: WaterfillSolution | None = None) -> float:
     """Cut-set-style cap: the weaker of the two hops, each at its best.
 
     The receiver-side hop is taken at the flat-spectrum rate; the
     relay-side hop gets the waterfilling benefit of full cooperation.
-    `fill` is the second hop's `waterfill` solution, solved here when not
-    given. A dead second hop carries nothing, so the cap is then 0 and the
-    first hop is not evaluated.
+    `fill` is the second hop's `waterfill` solution, solved here at the
+    default quadrature when not given. A dead second hop carries nothing,
+    so the cap is then 0 and the first hop is not evaluated.
     """
     if fill is None:
-        fill = waterfill(config.second_lag, config.rho2, quadrature)
+        fill = waterfill(config.second_lag, config.rho2)
     if fill.rate == 0.0:
         return 0.0
     return min(rate_mcp(config.first_lag, config.rho1), fill.rate)

@@ -88,7 +88,7 @@ class TestRateCommand:
         assert main(["rate", "--format", "json", "--schemes", "cf",
                      "--quad-max-points", "16"]) == 0
         metadata = json.loads(capfd.readouterr().out)["metadata"]
-        assert metadata["quadrature"]["initial_points"] == 16
+        assert metadata["quadrature"]["initial_points"] == 8
 
     def test_degenerate_configs_return_their_limit(self, tmp_path, capfd):
         # Silent relays, and relays whose gain toward every base station is
@@ -234,6 +234,12 @@ class TestFigureCommand:
         assert main(["figure", "fig3", "--output", str(target)]) == 0
         assert target.read_bytes() == golden.read_bytes()
 
+    def test_json_matches_golden_bytes(self, tmp_path, request):
+        golden = request.path.parent / "data" / "fig3.json"
+        target = tmp_path / "fig3.json"
+        assert main(["figure", "fig3", "--format", "json", "--output", str(target)]) == 0
+        assert target.read_bytes() == golden.read_bytes()
+
     def test_parallel_run_identical(self, tmp_path, request):
         golden = request.path.parent / "data" / "fig3_golden.csv"
         target = tmp_path / "fig3_jobs.csv"
@@ -369,6 +375,12 @@ class TestExitCodes:
                      "--quad-max-points", "8"])
         assert code == 2
         assert capfd.readouterr().err != ""
+
+    def test_small_ceiling_still_compares_two_grids(self, capfd):
+        # A 64-point ceiling starts at 32 points, so af settles on it and
+        # prints the value that larger ceilings give.
+        assert main(["rate", "--quad-max-points", "64", "--schemes", "af"]) == 0
+        assert capfd.readouterr().out == "quantity,value\naf,2.59084917422\n"
 
     def test_bad_quadrature_is_usage_error(self, capfd):
         # The refusal names the ceiling the user set, not the first grid

@@ -161,6 +161,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(stock_mapping(alpha=math.inf))
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("alpha", math.nan, "alpha must be finite, got nan"),
+        ("noise1", 0.0, "noise1 must be positive, got 0.0"),
+        ("mu", -0.5, "mu must be nonnegative, got -0.5"),
+        ("power_q", "20", "power_q must be a real number, got '20'"),
+    ])
+    def test_single_bad_field_named(self, key, value, message):
+        # The field checks run once, in SystemConfig, with these messages.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(stock_mapping(**{key: value}))
+        assert str(excinfo.value) == message
+
     def test_round_trip_identity(self):
         config = parse_config(stock_mapping(alpha=0.35, mu=0.7, power_p=3.5))
         assert parse_config(config_to_mapping(config)) == config
@@ -182,8 +194,9 @@ class TestQuadratureConfig:
             QuadratureConfig(max_points=4)
 
     def test_initial_points_derived_from_max_points(self):
-        # The first grid is min(64, max_points), derived rather than set.
-        assert QuadratureConfig(max_points=8).initial_points == 8
+        # The first grid is min(64, max_points // 2), derived rather than
+        # set, so that every ceiling compares at least two grids.
+        assert QuadratureConfig(max_points=8).initial_points == 4
         assert QuadratureConfig(max_points=128).initial_points == 64
         with pytest.raises(TypeError):
             QuadratureConfig(initial_points=64)
@@ -230,7 +243,7 @@ ENTRY_POINTS = {
                                          base=parse_config(stock_mapping())),
     "uniform_grid": uniform_grid,
     "simulate_relay_power": lambda value: simulate_relay_power(
-        parse_config(stock_mapping()), 1.0, symbols=value),
+        parse_config(stock_mapping()), 1.0, symbols=value, seed=1234),
 }
 
 REFUSALS = [

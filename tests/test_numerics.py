@@ -61,15 +61,15 @@ class TestIntegratePeriodic:
             return np.ones_like(f)
 
         integrate_periodic_report(sampler, QuadratureConfig())
-        with pytest.raises(ConvergenceError):
-            integrate_periodic_report(sampler, QuadratureConfig(max_points=16))
+        assert integrate_periodic_report(sampler, QuadratureConfig(max_points=16)) == (1.0, 16)
         # A constant settles on the first doubling, 64 odd points past the
-        # first grid; below 64 points the first grid is the last.
-        assert sizes == [64, 64, 16]
+        # first grid; a ceiling below 128 starts at half of itself, so it
+        # still compares two grids.
+        assert sizes == [64, 64, 8, 8]
 
     def test_unconverged_raises_with_best_estimate(self):
-        # The kink at x = 1/4 defeats spectral accuracy, so the one grid
-        # that max_points allows cannot meet the tolerance.
+        # The kink at x = 1/4 defeats spectral accuracy, so the two grids
+        # that max_points allows, 8 and 16 points, cannot meet the tolerance.
         quad = QuadratureConfig(max_points=16, rel_tol=1e-10)
         with pytest.raises(ConvergenceError) as excinfo:
             integrate_periodic_report(lambda x: np.abs(np.cos(2 * np.pi * x)), quad)

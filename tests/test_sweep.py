@@ -236,12 +236,40 @@ class TestRunSweep:
         assert table.metadata["quadrature"]["rel_tol"] == 1e-10
 
     def test_oracle_columns(self):
-        table = run_sweep(small_spec(points=2, stop=0.4), oracle=True, seed=5)
+        table = run_sweep(small_spec(points=2, stop=0.4), oracle_seed=5)
         assert "cf_oracle" in table.columns
         assert "upper_bound_oracle" in table.columns
         for point in range(2):
             assert table.columns["cf_oracle_delta"][point] == pytest.approx(0.0, abs=1e-6)
         assert table.metadata["oracle_seed"] == 5
+
+    def test_oracle_seed_reaches_each_point(self, monkeypatch, quick_simulator):
+        # Point i hands the simulator [oracle_seed, i], and the metadata
+        # records the seed and the ring size.
+        seeds = []
+        simulate = wynerrelay.sweep.simulate_relay_power
+
+        def recorded(*args, seed, **kwargs):
+            seeds.append(seed)
+            return simulate(*args, seed=seed, **kwargs)
+
+        monkeypatch.setattr(wynerrelay.sweep, "simulate_relay_power", recorded)
+        table = run_sweep(small_spec(points=2, schemes=("af",)), oracle_seed=5)
+        assert seeds == [[5, 0], [5, 1]]
+        assert table.metadata["oracle_seed"] == 5
+        assert table.metadata["oracle_ring_cells"] == 4096
+
+    def test_no_oracle_seed_runs_no_cross_check(self, monkeypatch):
+        def refused(*args, **kwargs):
+            raise AssertionError("cross-check ran without a seed")
+
+        for checker in ("rate_mcp_finite", "simulate_relay_power",
+                        "af_rate_finite", "waterfill_finite"):
+            monkeypatch.setattr(wynerrelay.sweep, checker, refused)
+        table = run_sweep(small_spec(points=2, schemes=SCHEME_ORDER))
+        assert set(table.columns) == set(SCHEME_ORDER)
+        assert "oracle_seed" not in table.metadata
+        assert "oracle_ring_cells" not in table.metadata
 
     def test_oracle_reuses_each_solve(self, monkeypatch, quick_simulator):
         calls = collections.Counter()
@@ -259,7 +287,7 @@ class TestRunSweep:
         waterfill = counted("waterfill", wynerrelay.wyner.waterfill)
         monkeypatch.setattr(wynerrelay.wyner, "waterfill", waterfill)
         monkeypatch.setattr(wynerrelay.sweep, "waterfill", waterfill, raising=False)
-        table = run_sweep(small_spec(points=2, schemes=SCHEME_ORDER), oracle=True)
+        table = run_sweep(small_spec(points=2, schemes=SCHEME_ORDER), oracle_seed=1234)
         assert "af_sim_power" in table.columns
         # mu moves neither cf_solve's inputs nor the second hop, so each
         # runs once for the sweep; the cross-checks add no solve.

@@ -371,6 +371,11 @@ class TestUpperBound:
         assert bound <= rate_mcp(config.first_lag, config.rho1)
         assert bound <= waterfill(config.second_lag, config.rho2).rate
 
+    def test_given_fill_matches_own_solve(self):
+        for config in (self.config(), self.config(power_q=100.0, eta=0.6)):
+            fill = waterfill(config.second_lag, config.rho2)
+            assert float.hex(upper_bound(config, fill)) == float.hex(upper_bound(config))
+
     def test_silent_relays_never_reach_the_first_hop(self):
         # The first hop's rate overflows here, but silent relays cap the
         # bound at 0 before it is needed.
