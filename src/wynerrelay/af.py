@@ -12,13 +12,15 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import (SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
                     _require_finite, _require_integer)
 from . import numerics
 from .numerics import uniform_grid
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # The Monte Carlo oracle simulates a fixed ring: 64 cells, unit relay delay.
 # Near the echo pole its stationary power is not the infinite ring's: on fig4
@@ -39,8 +41,10 @@ def _check_gain(gain, mu: float) -> float:
 
 def _power_coefficients(config: SystemConfig):
     """(A, B) = (P*beta^2 + noise1, 4*P*alpha^2) of the relay power law."""
+    # Scaled by 4 last, which is exact: B then overflows only where
+    # 4*P*alpha^2 itself does, not already where 4*P does.
     return (config.power_p * config.beta ** 2 + config.noise1,
-            4.0 * config.power_p * config.alpha ** 2)
+            4.0 * (config.power_p * config.alpha ** 2))
 
 
 def _buildup_power(gain: float, settle_root: float, config: SystemConfig) -> float:
@@ -115,11 +119,16 @@ def optimal_gain(config: SystemConfig) -> AfGainSolution:
     the root is closed-form (see `_gain_root`). The achieved power, and so
     the residual, is evaluated at the root's own s rather than at g alone,
     which near the pole is too ill-conditioned to check in double precision.
+    A power law whose coefficients overflow has no finite root, and is
+    refused rather than returned as a zero gain.
     """
     gain, settle_root = _gain_root(config)
     achieved = _buildup_power(gain, settle_root, config)
-    return AfGainSolution(gain=gain, output_power=achieved,
-                          residual=achieved - config.power_q)
+    residual = achieved - config.power_q
+    if not all(map(math.isfinite, (gain, achieved, residual))):
+        raise ValueError(f"relay gain is not finite: gain {gain}, "
+                         f"output power {achieved}, residual {residual}")
+    return AfGainSolution(gain=gain, output_power=achieved, residual=residual)
 
 
 def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
@@ -129,6 +138,8 @@ def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
     are a - b*cos(w) with a -+ b = (signal + minus, signal + plus), (minus, plus),
     and the mean of log(a - b*cos w) is 2*log((sqrt(a - b) + sqrt(a + b))/2).
     """
+    import numpy as np
+
     c = np.cos(2.0 * np.pi * np.asarray(f, dtype=np.float64))
     first = config.beta + 2.0 * config.alpha * c
     second = config.gamma + 2.0 * config.eta * c
@@ -160,6 +171,8 @@ def af_rate(config: SystemConfig, gain,
 
 def af_rate_finite(config: SystemConfig, gain, cells: int) -> float:
     """Average of the same per-subchannel rate over an M-cell ring's modes."""
+    import numpy as np
+
     gain = _check_gain(gain, config.mu)
     cells = _require_integer("cell count", cells, 3)
     return float(np.mean(_af_samples(config, gain, uniform_grid(cells))))
@@ -187,6 +200,8 @@ def simulate_relay_power(config: SystemConfig, gain, *, symbols: int = 1 << 20,
     only when a batch spans many mixing times 1/(1 - 2*mu*g): on fig4 at
     P = -10 dB that is 105,257 steps, while 2^20 symbols simulate 16,384.
     """
+    import numpy as np
+
     gain = _check_gain(gain, config.mu)
     symbols = _require_integer("symbol count", symbols, 1)
     rng = np.random.default_rng(seed)

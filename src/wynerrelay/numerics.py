@@ -10,15 +10,22 @@ k/n, and it samples each of them once; it returns the value and the final
 grid size. The grid average over n equispaced points is also, bit for
 bit, the eigenvalue average of the corresponding n-cell circular model,
 which the finite-ring cross-checks rely on.
+
+numpy is imported inside the functions that build arrays, here and in
+`wyner` and `af`, so that importing the package, and every command that
+samples no array, such as `--version` or `rate --schemes cf`, starts
+without loading it.
 """
 
 from __future__ import annotations
 
 import math
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .model import QuadratureConfig, DEFAULT_QUADRATURE, _require_integer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ConvergenceError(ArithmeticError):
@@ -31,11 +38,15 @@ class ConvergenceError(ArithmeticError):
 
 def uniform_grid(points: int) -> np.ndarray:
     """Equispaced abscissae k/points for k = 0 .. points-1."""
+    import numpy as np
+
     points = _require_integer("grid size", points, 1)
     return np.arange(points, dtype=np.float64) / points
 
 
 def _grid_average(values: np.ndarray, points: int) -> float:
+    import numpy as np
+
     # np.mean's own sum and division, so the result is its bits. A
     # non-finite sample makes the sum non-finite; only then is it looked for,
     # and an +inf, -inf pair is reported here rather than warned of.
@@ -60,6 +71,8 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
     n to 2n samples only the n odd abscissae (2j+1)/(2n): (2j)/(2n) == j/n
     exactly in binary floating point, so each abscissa is sampled once.
     """
+    import numpy as np
+
     points = quadrature.initial_points
     values = sampler(uniform_grid(points))
     estimate = _grid_average(values, points)

@@ -19,8 +19,6 @@ import cmath
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from .model import (LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
                     _require_finite, _require_integer)
 from .numerics import integrate_periodic_report, uniform_grid
@@ -34,6 +32,8 @@ _POLE_GUARD = 1e-150
 
 def channel_response(lag: LagGains, f):
     """H(f) = local + 2*cross*cos(2*pi*f); sign is irrelevant downstream."""
+    import numpy as np
+
     f = np.asarray(f, dtype=np.float64)
     return lag.local + 2.0 * lag.cross * np.cos(2.0 * np.pi * f)
 
@@ -91,6 +91,8 @@ def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
     The M-cell circular channel matrix is circulant with eigenvalues
     H(m/M), so the rate is the plain average of log2(1 + rho*H(m/M)^2).
     """
+    import numpy as np
+
     rho = _require_finite("SNR", rho, "nonnegative")
     cells = _require_integer("cell count", cells, 3)
     gains = np.square(channel_response(lag, uniform_grid(cells)))
@@ -191,6 +193,8 @@ def waterfill(lag: LagGains, rho,
     once. A dead hop, with rho = 0 or a peak response below the pole
     guard, carries nothing: its solution is all zeros.
     """
+    import numpy as np
+
     rho = _require_finite("SNR", rho, "nonnegative")
     # |H| peaks at local + 2*cross, at f = 0.
     if rho == 0.0 or lag.local + 2.0 * lag.cross < _POLE_GUARD:
@@ -218,6 +222,8 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
     H = 0 get no power. Silent relays (rho = 0) or an identically zero
     response carry nothing, so the rate is then 0.
     """
+    import numpy as np
+
     rho = _require_finite("SNR", rho, "nonnegative")
     cells = _require_integer("cell count", cells, 3)
     response = channel_response(lag, uniform_grid(cells))

@@ -17,7 +17,7 @@ from wynerrelay import (
     relay_output_power,
     simulate_relay_power,
 )
-from wynerrelay.af import _gain_root, af_rate_finite
+from wynerrelay.af import AfGainSolution, _gain_root, af_rate_finite
 from wynerrelay.numerics import uniform_grid
 
 # Dense grid scan of relay_output_power (10^6 points over the stable gain
@@ -140,6 +140,22 @@ class TestOptimalGain:
         assert math.isfinite(solution.gain)
         assert 2.0 * 0.8 * solution.gain < 1.0
         assert abs(solution.residual) <= 1e-12 * 1e300
+
+    def test_huge_uplink_power_keeps_its_root(self):
+        # 4*P overflows at P = 1e308 while the coefficient 4*P*alpha^2 does not.
+        cfg = config(power_p=1e308)
+        expected_gain, _ = reference_root(cfg)
+        solution = optimal_gain(cfg)
+        assert solution.gain == pytest.approx(expected_gain, rel=1e-14)
+        assert abs(solution.residual) <= 1e-12 * cfg.power_q
+
+    def test_overflowing_power_law_is_refused(self):
+        # P*alpha^2 itself overflows here, so the power law has no finite
+        # root; silent relays still solve to an all-zero gain.
+        with pytest.raises(ValueError, match="^relay gain is not finite: gain 0.0, "
+                                             "output power nan, residual nan$"):
+            optimal_gain(config(power_p=1e308, alpha=10.0))
+        assert optimal_gain(config(power_q=0.0)) == AfGainSolution(0.0, 0.0, 0.0)
 
 
 class TestAfRate:

@@ -154,6 +154,17 @@ class TestRateCommand:
             af_mu0 = json.loads(capfd.readouterr().out)["rates"]["af_mu0"]
             assert af_mu0 == pytest.approx(first_hop, abs=1e-12), q_db
 
+    def test_af_at_overflowing_uplink_power(self, capfd):
+        # 4*P overflows at P = 3080 dB but 4*(P*alpha^2) does not, so af keeps
+        # its 3000 dB value. At alpha = 10, P*alpha^2 itself overflows: the
+        # run fails naming af instead of printing a zero rate.
+        assert main(["rate", "--P-dB", "3080", "--schemes", "af"]) == 0
+        assert capfd.readouterr().out == "quantity,value\naf,6.32143126432\n"
+        assert main(["rate", "--P-dB", "3080", "--alpha", "10", "--schemes", "af"]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wynerrelay: error: af: relay gain is not finite")
+
     def test_upper_bound_at_extreme_relay_snr(self, capfd):
         # The waterfilled second hop's level is near 1e307 here; the first
         # hop caps the bound.
@@ -520,3 +531,51 @@ class TestInstalledEntryPoints:
             capture_output=True, text=True, env=child_environment())
         assert result.returncode == 0
         assert result.stdout.startswith("quantity,value")
+
+
+# Run in a fresh interpreter: print whether numpy was loaded, then the exit code.
+NUMPY_PROBE = """
+import sys
+{statement}
+print("numpy" in sys.modules, code)
+"""
+MAIN = "from wynerrelay.cli import main\ncode = main({argv!r})"
+
+
+def probe_numpy(statement):
+    """(numpy loaded, exit code) after `statement` runs in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(statement=statement)],
+                            capture_output=True, text=True, env=child_environment())
+    assert result.returncode == 0, result.stderr
+    loaded, code = result.stdout.split()[-2:]
+    return loaded == "True", int(code)
+
+
+class TestStartup:
+    """numpy loads only where an array is sampled."""
+
+    def test_package_import_skips_numpy(self):
+        statement = ("import wynerrelay\n"
+                     "for name in wynerrelay.__all__:\n"
+                     "    getattr(wynerrelay, name)\n"
+                     "code = 0")
+        assert probe_numpy(statement) == (False, 0)
+
+    @pytest.mark.parametrize("argv, code", [
+        (["--version"], 0),
+        (["--help"], 0),
+        (["rate", "--alpha", "nan"], 1),
+        (["rate", "--schemes", "cf", "--output", "{out}"], 0),
+        (["figure", "fig3", "--schemes", "cf", "--output", "{out}"], 0),
+    ], ids=["version", "help", "config_error", "rate_cf", "figure_cf"])
+    def test_scalar_commands_skip_numpy(self, argv, code, tmp_path):
+        argv = [arg.format(out=tmp_path / "out.csv") for arg in argv]
+        assert probe_numpy(MAIN.format(argv=argv)) == (False, code)
+
+    @pytest.mark.parametrize("argv", [
+        ["rate", "--output", "{out}"],
+        ["rate", "--schemes", "cf", "--oracle", "--output", "{out}"],
+    ], ids=["rate_default", "rate_cf_oracle"])
+    def test_sampling_commands_load_numpy(self, argv, tmp_path):
+        argv = [arg.format(out=tmp_path / "out.csv") for arg in argv]
+        assert probe_numpy(MAIN.format(argv=argv)) == (True, 0)

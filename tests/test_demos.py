@@ -21,6 +21,16 @@ def test_demo_runs(script, tmp_path, monkeypatch, capsys):
     assert capsys.readouterr().out
 
 
+def test_cf_af_boundary_prints_the_measured_table(tmp_path, monkeypatch, capsys):
+    # Q* in dB per mu (rows) and P = -10, 0, 10, 20 and 30 dB (columns).
+    monkeypatch.chdir(tmp_path)
+    runpy.run_path(str(ROOT / "demos" / "cf_af_boundary.py"), run_name="__main__")
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[2:]]
+    assert rows == [["0.8", "-5.2", "-3.5", "0.4", "3.4", "4.2"],
+                    ["0.4", "-1.1", "0.2", "2.8", "4.1", "4.3"],
+                    ["0", "none", "13.6", "4.8", "4.3", "4.3"]]
+
+
 def test_readme_library_example_runs(tmp_path, monkeypatch):
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Library\n", 1)[1]
