@@ -14,7 +14,7 @@ import json
 import sys
 
 from .model import (ConfigError, QuadratureConfig, DEFAULT_CONFIG_MAPPING,
-                    DEFAULT_QUADRATURE, PACKAGE_VERSION, _LINEAR_KEYS,
+                    DEFAULT_QUADRATURE, PACKAGE_VERSION, _LINEAR_KEYS, _POWER_KEYS,
                     config_to_mapping, load_mapping, parse_config)
 from .sweep import (AXES, FIGURES, SCHEME_ORDER, Figure, SchemeError, SweepSpec,
                     canonical_schemes, emit, run_metadata, run_point, run_sweep)
@@ -49,9 +49,9 @@ def _build_parser() -> _Parser:
     for name in _LINEAR_KEYS:
         group.add_argument(f"--{name}", type=float, metavar="X",
                            help=f"override {name} (linear)")
-    group.add_argument("--P-dB", dest="p_db", type=float, metavar="DB",
+    group.add_argument("--P-dB", type=float, metavar="DB",
                        help="override the mobile transmit power, in dB")
-    group.add_argument("--Q-dB", dest="q_db", type=float, metavar="DB",
+    group.add_argument("--Q-dB", type=float, metavar="DB",
                        help="override the relay power budget, in dB")
     run = common.add_argument_group("execution and output")
     run.add_argument("--schemes", metavar="LIST",
@@ -112,12 +112,11 @@ def _config_from_args(args, changes=None):
         if value is not None:
             mapping[name] = value
     # A dB override replaces whichever form of that power was present.
-    if args.p_db is not None:
-        mapping.pop("power_p", None)
-        mapping["P_dB"] = args.p_db
-    if args.q_db is not None:
-        mapping.pop("power_q", None)
-        mapping["Q_dB"] = args.q_db
+    for linear_key, db_key in _POWER_KEYS.items():
+        value = getattr(args, db_key)
+        if value is not None:
+            mapping.pop(linear_key, None)
+            mapping[db_key] = value
     return parse_config(mapping)
 
 

@@ -15,14 +15,14 @@ import math
 from collections import namedtuple
 from dataclasses import dataclass, field, replace
 
-from .af import af_rate, af_rate_finite, optimal_gain, relay_output_power, \
-    simulate_relay_power
+from .af import af_rate, af_rate_finite, optimal_gain, simulate_relay_power
 from . import wyner
 from .cf import cf_solve, quantized_snr
 from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
                     _require_finite, _require_integer)
+from .numerics import ConvergenceError
 from .wyner import rate_mcp_finite, upper_bound, waterfill_finite
 
 AXES = ("mu", "power_p", "power_q", "rho1_db", "rho2_db")
@@ -58,6 +58,14 @@ def _cf(config: SystemConfig, quadrature: QuadratureConfig, solved):
     # The relays cancel their own echo, so the solve does not read mu.
     key = ("cf", config.first_lag, config.rho1, config.second_lag, config.rho2)
     solution = _once(solved, key, cf_solve, config)
+    # Data and description share the second hop, so a larger data rate
+    # means the solve stopped short of its root; the data rate left at
+    # the stopping point is what the split achieves.
+    if solution.rate > solution.second_lag_rate:
+        raise ConvergenceError(
+            f"rate {solution.rate!r} exceeds the second-hop rate "
+            f"{solution.second_lag_rate!r} it splits (residual {solution.residual!r})",
+            best_estimate=solution.second_lag_rate - solution.r_star)
     notes = {"cf_r_star": solution.r_star, "cf_residual": solution.residual}
 
     def oracle(seed):
@@ -75,11 +83,10 @@ def _af(config: SystemConfig, quadrature: QuadratureConfig, solved):
     def oracle(seed):
         finite = af_rate_finite(config, gain.gain, ORACLE_RING)
         simulated = simulate_relay_power(config, gain.gain, seed=seed)
-        power = relay_output_power(gain.gain, config)
         return {**_against("af", finite, rate),
                 "af_sim_power": simulated.mean_power,
                 "af_sim_se": simulated.std_error,
-                "af_sim_delta": simulated.mean_power - power}
+                "af_sim_delta": simulated.mean_power - gain.output_power}
     return rate, notes, oracle
 
 
@@ -220,7 +227,6 @@ def run_point(config: SystemConfig, schemes,
 class SweepTable:
     """Axis values plus one column per scheme (and optional extras)."""
 
-    axis: str
     axis_values: tuple
     columns: dict
     metadata: dict = field(default_factory=dict)
@@ -266,8 +272,7 @@ def run_sweep(spec: SweepSpec, quadrature: QuadratureConfig = DEFAULT_QUADRATURE
         "base_config": config_to_mapping(spec.base),
         **run_metadata(quadrature, oracle_seed),
     }
-    return SweepTable(axis=spec.axis, axis_values=spec.values,
-                      columns=columns, metadata=metadata)
+    return SweepTable(axis_values=spec.values, columns=columns, metadata=metadata)
 
 
 def emit(table: SweepTable, format: str = "csv") -> bytes:

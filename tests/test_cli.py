@@ -198,6 +198,28 @@ class TestRateCommand:
         residual = json.loads(capfd.readouterr().out)["rates"]["af_power_residual"]
         assert abs(residual) <= 1e-9 * 1e6
 
+    @pytest.mark.parametrize("flags, estimate", [
+        (["--P-dB", "150"], 6.53940399417), (["--P-dB", "300"], 6.53940399417),
+        (["--beta", "1e4"], 6.53940386137)], ids=["P150", "P300", "beta1e4"])
+    def test_cf_above_its_second_hop_is_numerical_failure(self, flags, estimate, capfd):
+        # The solve stops on its bracket width far above a root r* near
+        # 1e-28 (at 300 dB), where the data rate passes the second hop it
+        # splits. The best estimate is what that hop leaves after r*.
+        assert main(["rate", "--schemes", "cf", *flags]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("wynerrelay: error: cf: rate ")
+        assert "exceeds the second-hop rate" in captured.err
+        best = float(captured.err.rsplit("best estimate ", 1)[1])
+        assert best == pytest.approx(estimate, abs=1e-9)
+
+    def test_json_verbose_matches_recorded_bytes(self, tmp_path, request):
+        recorded = request.path.parent / "data" / "rate_verbose.json"
+        target = tmp_path / "rate.json"
+        assert main(["rate", "--P-dB", "5", "--Q-dB", "25", "--format", "json",
+                     "--verbose", "--output", str(target)]) == 0
+        assert target.read_bytes() == recorded.read_bytes()
+
     def test_rate_above_upper_bound_is_numerical_failure(self, monkeypatch, capfd):
         solve = wynerrelay.sweep.cf_solve
         monkeypatch.setattr(wynerrelay.sweep, "cf_solve",

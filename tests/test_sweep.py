@@ -16,6 +16,7 @@ from wynerrelay import (
     SweepSpec,
     emit,
     figure_spec,
+    optimal_gain,
     parse_config,
     run_point,
     run_sweep,
@@ -175,6 +176,14 @@ class TestRunPoint:
         assert run_point(base_config(), ("af",)) == {"af": 1e3}
         with pytest.raises(SchemeError, match="^af: rate 1000.0 exceeds"):
             run_point(base_config(), ("cf", "af", "upper_bound"))
+
+    def test_sim_delta_is_taken_from_the_solved_power(self, quick_simulator):
+        # Near the echo pole the power law recomputed from the gain alone
+        # reads 3.3e8 here; the gain solve returned the budget, 1e12.
+        config = base_config(mu=0.8, power_q=db_to_linear(120.0))
+        point = run_point(config, ("af",), oracle_seed=[1, 0])
+        solved = optimal_gain(config).output_power
+        assert point["af_sim_delta"] == point["af_sim_power"] - solved
 
     def test_non_finite_value_is_refused(self, monkeypatch):
         monkeypatch.setattr(wynerrelay.sweep, "upper_bound", lambda *args: float("nan"))
