@@ -137,26 +137,55 @@ def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
     Over the temporal frequency w, the numerator and the denominator of 1 + SINR
     are a - b*cos(w) with a -+ b = (signal + minus, signal + plus), (minus, plus),
     and the mean of log(a - b*cos w) is 2*log((sqrt(a - b) + sqrt(a + b))/2).
+    Without an echo, minus == plus and the ratio is sqrt(signal + minus) / sqrt(minus),
+    the same bits, since (x + x)/(y + y) == x/y in binary floating point.
     """
     import numpy as np
 
     c = np.cos(2.0 * np.pi * np.asarray(f, dtype=np.float64))
-    first = config.beta + 2.0 * config.alpha * c
-    second = config.gamma + 2.0 * config.eta * c
-    echo = 2.0 * gain * config.mu * c
-
     # A gain 2^e*mantissa with e > 0 scales numerator and denominator by 2^(-2e),
     # so S = P*g^2*H1^2*H2^2 cannot overflow (2^(-2e) itself would, for e << 0).
     exponent = max(math.frexp(gain)[1], 0)
     scaled = math.ldexp(gain, -exponent)
-    signal = config.power_p * scaled ** 2 * np.square(first) * np.square(second)
-    relay_noise = config.noise1 * scaled ** 2 * np.square(second)
     noise2 = config.noise2 * math.ldexp(1.0, -2 * exponent)
+    # Each product is formed once, in place where its operand is not read again.
+    signal = c * (2.0 * config.alpha)
+    signal += config.beta
+    np.square(signal, out=signal)
+    signal *= config.power_p * scaled ** 2
+    relay_noise = c * (2.0 * config.eta)
+    relay_noise += config.gamma
+    np.square(relay_noise, out=relay_noise)
+    signal *= relay_noise
+    relay_noise *= config.noise1 * scaled ** 2
     # Sums of nonnegative terms, so every square root below takes a real one.
-    minus = relay_noise + noise2 * np.square(1.0 - echo)
-    plus = relay_noise + noise2 * np.square(1.0 + echo)
-    return 2.0 * np.log2((np.sqrt(signal + minus) + np.sqrt(signal + plus))
-                         / (np.sqrt(minus) + np.sqrt(plus)))
+    echo_gain = 2.0 * gain * config.mu
+    if echo_gain == 0.0:
+        # The echo is +-0, so both noise terms are relay_noise + noise2.
+        relay_noise += noise2
+        signal += relay_noise
+        ratio = np.sqrt(signal, out=signal)
+        ratio /= np.sqrt(relay_noise, out=relay_noise)
+    else:
+        echo = np.multiply(c, echo_gain, out=c)
+        minus = np.subtract(1.0, echo)
+        np.square(minus, out=minus)
+        minus *= noise2
+        minus += relay_noise
+        plus = np.add(echo, 1.0, out=echo)
+        np.square(plus, out=plus)
+        plus *= noise2
+        plus += relay_noise
+        ratio = np.add(signal, minus)
+        np.sqrt(ratio, out=ratio)
+        signal += plus
+        ratio += np.sqrt(signal, out=signal)
+        np.sqrt(minus, out=minus)
+        minus += np.sqrt(plus, out=plus)
+        ratio /= minus
+    np.log2(ratio, out=ratio)
+    ratio *= 2.0
+    return ratio
 
 
 def af_rate(config: SystemConfig, gain,

@@ -9,6 +9,7 @@ QuadratureConfig, is set by its grid ceiling and tolerance alone.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import numbers
@@ -104,10 +105,9 @@ class SystemConfig:
     noise2: float
 
     def __post_init__(self):
-        for entry in fields(self):
-            sign = "positive" if entry.name in _POSITIVE else "nonnegative"
-            value = _require_finite(entry.name, getattr(self, entry.name), sign)
-            object.__setattr__(self, entry.name, value)
+        for name, sign in _SYSTEM_FIELDS:
+            value = _require_finite(name, getattr(self, name), sign)
+            object.__setattr__(self, name, value)
 
     @property
     def rho1(self) -> float:
@@ -119,13 +119,21 @@ class SystemConfig:
         """SNR of the RT-to-BS hop: Q over the BS noise floor."""
         return self.power_q / self.noise2
 
-    @property
+    # Built on first use and kept on the instance, so each config validates
+    # one LagGains per hop however often a sweep point reads it.
+    @functools.cached_property
     def first_lag(self) -> LagGains:
         return LagGains(local=self.beta, cross=self.alpha)
 
-    @property
+    @functools.cached_property
     def second_lag(self) -> LagGains:
         return LagGains(local=self.gamma, cross=self.eta)
+
+
+# Each field's name and the sign `SystemConfig.__post_init__` requires of it.
+_SYSTEM_FIELDS = tuple(
+    (entry.name, "positive" if entry.name in _POSITIVE else "nonnegative")
+    for entry in fields(SystemConfig))
 
 
 @dataclass(frozen=True)

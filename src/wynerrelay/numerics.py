@@ -6,8 +6,9 @@ smooth integrands and at second order across the kinks of waterfill's
 clamp. The grids start at min(64, max_points // 2) points and double, so
 they nest and any ceiling compares two. `integrate_periodic_report` is the
 ladder's one entry point and the one place that lays out the abscissae
-k/n, and it samples each of them once; it returns the value and the final
-grid size. The grid average over n equispaced points is also, bit for
+k/n, and it samples each of them once: the first two grids in one call,
+then each doubling's new points; it returns the value and the final grid
+size. The grid average over n equispaced points is also, bit for
 bit, the eigenvalue average of the corresponding n-cell circular model,
 which the finite-ring cross-checks rely on.
 
@@ -67,16 +68,29 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
     The sampler maps a float64 array of abscissae in [0, 1) to an array of
     its shape. Grids k/n double from initial_points = min(64,
     max_points // 2); convergence means successive estimates within
-    rel_tol * max(1, |estimate|). Only the finest grid is held, and refining
-    n to 2n samples only the n odd abscissae (2j+1)/(2n): (2j)/(2n) == j/n
-    exactly in binary floating point, so each abscissa is sampled once.
+    rel_tol * max(1, |estimate|). Only the finest grid is held. Every
+    ceiling compares the first two grids, so they are sampled in one call,
+    on the 2 * initial_points grid, whose even points are the first grid:
+    (2j)/(2n) == j/n exactly in binary floating point. Refining n to 2n
+    then samples only the n odd abscissae (2j+1)/(2n), so each abscissa is
+    sampled once.
     """
     import numpy as np
 
-    points = quadrature.initial_points
-    values = sampler(uniform_grid(points))
-    estimate = _grid_average(values, points)
-    while points < quadrature.max_points:
+    # initial_points was checked by QuadratureConfig, so the first grid is
+    # laid out here rather than through uniform_grid's validation.
+    points = 2 * quadrature.initial_points
+    values = sampler(np.arange(points, dtype=np.float64) / points)
+    estimate = _grid_average(values[0::2], points // 2)
+    while True:
+        refined = _grid_average(values, points)
+        if abs(refined - estimate) < quadrature.rel_tol * max(1.0, abs(refined)):
+            return refined, points
+        estimate = refined
+        if points >= quadrature.max_points:
+            raise ConvergenceError(
+                f"quadrature did not settle within {quadrature.max_points} points",
+                best_estimate=estimate)
         # Sampled before the merged grid exists, so that the sampler's
         # temporaries and the merged array are never alive together.
         odd = sampler(np.arange(1, 2 * points, 2, dtype=np.float64) / (2 * points))
@@ -84,11 +98,3 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
         merged[0::2] = values
         merged[1::2] = odd
         values, points = merged, 2 * points
-        refined = _grid_average(values, points)
-        if abs(refined - estimate) < quadrature.rel_tol * max(1.0, abs(refined)):
-            return refined, points
-        estimate = refined
-    raise ConvergenceError(
-        f"quadrature did not settle within {quadrature.max_points} points",
-        best_estimate=estimate)
-

@@ -1,7 +1,9 @@
 """Amplify-and-forward: relay power curve, gain solve, rate, ring simulator."""
 
 import dataclasses
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,8 +19,10 @@ from wynerrelay import (
     relay_output_power,
     simulate_relay_power,
 )
-from wynerrelay.af import AfGainSolution, _gain_root, af_rate_finite
+from wynerrelay.af import AfGainSolution, _af_samples, _gain_root, af_rate_finite
 from wynerrelay.numerics import uniform_grid
+
+REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
 
 # Dense grid scan of relay_output_power (10^6 points over the stable gain
 # interval) at the reference relay setup, frozen from a scratch run.
@@ -240,6 +244,38 @@ class TestAfRate:
         for name, index, expected in self.RECORDED:
             cfg = figure_spec(name).configs[index]
             assert af_rate(cfg, optimal_gain(cfg).gain).hex() == expected, (name, index)
+
+    @staticmethod
+    def two_term_samples(cfg, gain, f):
+        """The closed-ratio integrand with both noise terms, one array per step."""
+        c = np.cos(2.0 * np.pi * f)
+        first = cfg.beta + 2.0 * cfg.alpha * c
+        second = cfg.gamma + 2.0 * cfg.eta * c
+        echo = 2.0 * gain * cfg.mu * c
+        exponent = max(math.frexp(gain)[1], 0)
+        scaled = math.ldexp(gain, -exponent)
+        signal = cfg.power_p * scaled ** 2 * np.square(first) * np.square(second)
+        relay_noise = cfg.noise1 * scaled ** 2 * np.square(second)
+        noise2 = cfg.noise2 * math.ldexp(1.0, -2 * exponent)
+        minus = relay_noise + noise2 * np.square(1.0 - echo)
+        plus = relay_noise + noise2 * np.square(1.0 + echo)
+        return 2.0 * np.log2((np.sqrt(signal + minus) + np.sqrt(signal + plus))
+                             / (np.sqrt(minus) + np.sqrt(plus)))
+
+    @pytest.mark.parametrize("pool", ["points", "rate_points"])
+    @pytest.mark.parametrize("echo", ["drawn", "mu0"])
+    def test_samples_are_the_two_term_formula_bit_for_bit(self, pool, echo):
+        # At mu = 0 `_af_samples` takes its one-term branch; with mu as
+        # drawn, its in-place two-term one.
+        grid = uniform_grid(128)
+        groups = json.loads((REFERENCE / f"{pool}.json").read_text())["pool"]
+        for entry in (entry for group in groups for entry in group):
+            cfg = parse_config(entry["config"])
+            if echo == "mu0":
+                cfg = dataclasses.replace(cfg, mu=0.0)
+            gain = optimal_gain(cfg).gain
+            expected = self.two_term_samples(cfg, gain, grid)
+            assert _af_samples(cfg, gain, grid).tobytes() == expected.tobytes(), entry
 
     def test_each_sample_computed_once(self, monkeypatch):
         abscissae, grids = [], []

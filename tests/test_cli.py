@@ -273,6 +273,15 @@ class TestFigureCommand:
         assert main(["figure", "fig3", "--format", "json", "--output", str(target)]) == 0
         assert target.read_bytes() == golden.read_bytes()
 
+    # JSON holds every value at full precision, so these pin all four
+    # scheme columns of fig4 and fig5 bit for bit.
+    @pytest.mark.parametrize("name", ["fig4", "fig5"])
+    def test_json_matches_recorded_bytes(self, name, tmp_path, request):
+        golden = request.path.parent / "data" / f"{name}.json"
+        target = tmp_path / f"{name}.json"
+        assert main(["figure", name, "--format", "json", "--output", str(target)]) == 0
+        assert target.read_bytes() == golden.read_bytes()
+
     def test_parallel_run_identical(self, tmp_path, request):
         golden = request.path.parent / "data" / "fig3_golden.csv"
         target = tmp_path / "fig3_jobs.csv"

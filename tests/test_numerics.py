@@ -62,10 +62,10 @@ class TestIntegratePeriodic:
 
         integrate_periodic_report(sampler, QuadratureConfig())
         assert integrate_periodic_report(sampler, QuadratureConfig(max_points=16)) == (1.0, 16)
-        # A constant settles on the first doubling, 64 odd points past the
-        # first grid; a ceiling below 128 starts at half of itself, so it
-        # still compares two grids.
-        assert sizes == [64, 64, 8, 8]
+        # Every ceiling compares the first two grids, min(64, max_points // 2)
+        # points and twice that, so one call samples both: a constant settles
+        # there, on 128 points, and a ceiling of 16 on 8 and 16.
+        assert sizes == [128, 16]
 
     def test_unconverged_raises_with_best_estimate(self):
         # The kink at x = 1/4 defeats spectral accuracy, so the two grids
@@ -101,6 +101,13 @@ class TestGridAverage:
             for values in (plain, merged):
                 average = _grid_average(values, size)
                 assert float.hex(average) == float.hex(float(np.mean(values)))
+            # The ladder's first call: the coarse grid is the even points of
+            # one twice as fine, averaged through the strided view.
+            wide = np.empty(2 * size)
+            wide[0::2] = plain
+            wide[1::2] = rng.standard_normal(size)
+            average = _grid_average(wide[0::2], size)
+            assert float.hex(average) == float.hex(float(np.mean(plain)))
 
     def test_nan_at_refined_abscissa_is_named(self):
         def integrand(f):
