@@ -5,12 +5,13 @@ integrand, where the uniform-grid trapezoid rule converges spectrally on
 smooth integrands and at second order across the kinks of waterfill's
 clamp. The grids start at min(64, max_points // 2) points and double, so
 they nest and any ceiling compares two. `integrate_periodic_report` is the
-ladder's one entry point and the one place that lays out the abscissae
-k/n, and it samples each of them once: the first two grids in one call,
-then each doubling's new points; it returns the value and the final grid
-size. The grid average over n equispaced points is also, bit for
-bit, the eigenvalue average of the corresponding n-cell circular model,
-which the finite-ring cross-checks rely on.
+ladder's one entry point and lays out the ladder's abscissae k/n itself
+(`uniform_grid` lays out k/n for the finite-ring cross-checks). It
+samples each abscissa once: the first two grids in one call, then each
+doubling's new points; it returns the value and the final grid size.
+The grid average over n equispaced points is also, bit for bit, the
+eigenvalue average of the corresponding n-cell circular model, which the
+finite-ring cross-checks rely on.
 
 numpy is imported inside the functions that build arrays, here and in
 `wyner` and `af`, so that importing the package, and every command that

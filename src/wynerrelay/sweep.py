@@ -121,9 +121,10 @@ SCHEME_ORDER = tuple(SCHEMES)
 
 def canonical_schemes(schemes) -> tuple:
     requested = set(schemes)
-    unknown = sorted(requested - SCHEMES.keys())
+    # By repr, so that an empty name shows and names of any type sort.
+    unknown = sorted(map(repr, requested - SCHEMES.keys()))
     if unknown:
-        raise ConfigError(f"unknown scheme(s): {', '.join(map(str, unknown))}")
+        raise ConfigError(f"unknown scheme(s): {', '.join(unknown)}")
     if not requested:
         raise ConfigError("at least one scheme is required")
     return tuple(name for name in SCHEMES if name in requested)

@@ -17,7 +17,6 @@ from wynerrelay import (
     cf_solve,
     figure_spec,
     optimal_gain,
-    parse_config,
     rate_mcp,
     rate_mcp_finite,
     relay_output_power,
@@ -27,21 +26,7 @@ from wynerrelay import (
 )
 from wynerrelay.cli import main
 
-
-def reference_config(**overrides):
-    mapping = {
-        "alpha": 0.2,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "eta": 0.2,
-        "mu": 0.4,
-        "power_p": 10.0,
-        "power_q": 100.0,
-        "noise1": 1.0,
-        "noise2": 1.0,
-    }
-    mapping.update(overrides)
-    return parse_config(mapping)
+from stock import stock_config
 
 
 def best_time(func, repeats=5):
@@ -57,7 +42,7 @@ def best_time(func, repeats=5):
 def test_criterion_01_flat_channel_identities():
     flat = LagGains(local=1.0, cross=0.0)
     strong = LagGains(local=2.0, cross=0.0)
-    scalar = reference_config(alpha=0.0, eta=0.0, mu=0.0)
+    scalar = stock_config(alpha=0.0, eta=0.0, mu=0.0)
     gain = optimal_gain(scalar).gain
     g2 = gain * gain
     af_expected = math.log2(1.0 + 10.0 * g2 / (g2 + 1.0))
@@ -158,10 +143,10 @@ def test_criterion_05_power_sweep_envelopes():
 
 
 def test_criterion_06_af_gain_solve():
-    asymptote = optimal_gain(reference_config(power_q=1e6))
+    asymptote = optimal_gain(stock_config(power_q=1e6))
     asymptote_error = abs(asymptote.gain - 1.25) / 1.25
 
-    config = reference_config()
+    config = stock_config()
     solution = optimal_gain(config)
     # Independent dense scan: evaluate the power curve on a uniform
     # million-point gain grid and invert by linear interpolation.
@@ -187,7 +172,7 @@ def test_criterion_06_af_gain_solve():
 
 
 def test_criterion_07_monte_carlo_power_oracle():
-    config = reference_config()
+    config = stock_config()
     gain = optimal_gain(config).gain
     target = relay_output_power(gain, config)
     start = time.perf_counter()
@@ -204,9 +189,9 @@ def test_criterion_07_monte_carlo_power_oracle():
 
 def test_criterion_08_cf_asymptotics():
     lag = LagGains(local=1.0, cross=0.2)
-    relay_limit = cf_solve(reference_config(power_q=1e6)).rate
+    relay_limit = cf_solve(stock_config(power_q=1e6)).rate
     relay_target = rate_mcp(lag, 10.0)
-    uplink_limit = cf_solve(reference_config(power_p=1e6)).rate
+    uplink_limit = cf_solve(stock_config(power_p=1e6)).rate
     uplink_target = rate_mcp(lag, 100.0)
     waterfilled = waterfill(lag, 100.0).rate
     print(f"criterion 8: |cf-target| at large Q={abs(relay_limit - relay_target):.3e} "
@@ -218,7 +203,7 @@ def test_criterion_08_cf_asymptotics():
 
 
 def test_criterion_09_cf_fixed_point_identity():
-    solutions = [cf_solve(reference_config(mu=mu)) for mu in (0.0, 0.4, 0.8)]
+    solutions = [cf_solve(stock_config(mu=mu)) for mu in (0.0, 0.4, 0.8)]
     identity_gap = abs(solutions[0].rate + solutions[0].r_star
                        - solutions[0].second_lag_rate)
     bit_identical = all(

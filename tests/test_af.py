@@ -3,7 +3,6 @@
 import dataclasses
 import json
 import math
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,9 +19,10 @@ from wynerrelay import (
     simulate_relay_power,
 )
 from wynerrelay.af import AfGainSolution, _af_samples, _gain_root, af_rate_finite
+from wynerrelay.model import db_to_linear
 from wynerrelay.numerics import uniform_grid
 
-REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
+from stock import POINT_POOL, RATE_POOL, stock_config
 
 # Dense grid scan of relay_output_power (10^6 points over the stable gain
 # interval) at the reference relay setup, frozen from a scratch run.
@@ -52,48 +52,33 @@ def reference_root(cfg):
         return float(lo), float(settle(lo))
 
 
-def config(**overrides):
-    mapping = {
-        "alpha": 0.2,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "eta": 0.2,
-        "mu": 0.4,
-        "power_p": 10.0,
-        "power_q": 100.0,
-        "noise1": 1.0,
-        "noise2": 1.0,
-    }
-    mapping.update(overrides)
-    return parse_config(mapping)
-
 
 class TestRelayOutputPower:
     def test_no_feedback_closed_form(self):
-        cfg = config(mu=0.0)
+        cfg = stock_config(mu=0.0)
         for g in (0.5, 1.0, 3.0):
             expected = g * g * (10.0 * 1.0 + 2.0 * 10.0 * 0.04 + 1.0)
             assert relay_output_power(g, cfg) == pytest.approx(expected, rel=1e-15)
 
     def test_isolated_cells_value(self):
-        cfg = config(alpha=0.0, mu=0.0)
+        cfg = stock_config(alpha=0.0, mu=0.0)
         assert relay_output_power(2.0, cfg) == 44.0
 
     def test_zero_gain_is_silent(self):
-        assert relay_output_power(0.0, config()) == 0.0
+        assert relay_output_power(0.0, stock_config()) == 0.0
 
     def test_strictly_increasing(self):
-        cfg = config(mu=0.4)
+        cfg = stock_config(mu=0.4)
         gains = np.linspace(0.05, 1.2, 24)
         powers = [relay_output_power(g, cfg) for g in gains]
         assert all(lo < hi for lo, hi in zip(powers, powers[1:]))
 
     def test_diverges_near_domain_edge(self):
-        cfg = config(mu=0.4)
+        cfg = stock_config(mu=0.4)
         assert relay_output_power(1.25 * (1.0 - 1e-12), cfg) > 1e7
 
     def test_rejects_domain_violations(self):
-        cfg = config(mu=0.4)
+        cfg = stock_config(mu=0.4)
         with pytest.raises(ValueError):
             relay_output_power(-0.1, cfg)
         with pytest.raises(ValueError):
@@ -104,24 +89,24 @@ class TestRelayOutputPower:
 
 class TestOptimalGain:
     def test_no_feedback_closed_form(self):
-        solution = optimal_gain(config(alpha=0.0, mu=0.0))
+        solution = optimal_gain(stock_config(alpha=0.0, mu=0.0))
         assert solution.gain == pytest.approx(math.sqrt(100.0 / 11.0), rel=1e-12)
         assert solution.output_power == pytest.approx(100.0, rel=1e-12)
 
     def test_matches_grid_scan_oracle(self):
-        assert optimal_gain(config()).gain == pytest.approx(ORACLE_GRID_GAIN, rel=1e-5)
+        assert optimal_gain(stock_config()).gain == pytest.approx(ORACLE_GRID_GAIN, rel=1e-5)
 
     def test_consistency_residual(self):
         # Away from the domain-edge pole the solver meets the power target
         # to near machine precision.
         for mu in (0.2, 0.4, 0.8):
             for power_q in (10.0, 100.0, 1000.0):
-                solution = optimal_gain(config(mu=mu, power_q=power_q))
+                solution = optimal_gain(stock_config(mu=mu, power_q=power_q))
                 assert abs(solution.residual) <= 1e-9 * power_q
                 assert solution.output_power == pytest.approx(power_q, rel=1e-9)
 
     def test_large_budget_approaches_pole(self):
-        solution = optimal_gain(config(power_q=1e6))
+        solution = optimal_gain(stock_config(power_q=1e6))
         assert abs(solution.gain - 1.25) / 1.25 <= 0.01
         assert solution.gain < 1.25
 
@@ -130,7 +115,7 @@ class TestOptimalGain:
         # be recovered from g in double precision.
         for mu in (0.0, 0.2, 0.8, 0.9):
             for q_db in (-10.0, 20.0, 60.0, 80.0, 120.0):
-                cfg = config(mu=mu, power_q=10.0 ** (q_db / 10.0))
+                cfg = stock_config(mu=mu, power_q=10.0 ** (q_db / 10.0))
                 gain, settle_root = _gain_root(cfg)
                 expected_gain, expected_settle = reference_root(cfg)
                 assert gain == pytest.approx(expected_gain, rel=1e-14)
@@ -140,14 +125,14 @@ class TestOptimalGain:
                 assert abs(solution.residual) <= 1e-12 * max(cfg.power_q, 1.0)
 
     def test_huge_budget_stays_stable(self):
-        solution = optimal_gain(config(mu=0.8, power_q=1e300))
+        solution = optimal_gain(stock_config(mu=0.8, power_q=1e300))
         assert math.isfinite(solution.gain)
         assert 2.0 * 0.8 * solution.gain < 1.0
         assert abs(solution.residual) <= 1e-12 * 1e300
 
     def test_huge_uplink_power_keeps_its_root(self):
         # 4*P overflows at P = 1e308 while the coefficient 4*P*alpha^2 does not.
-        cfg = config(power_p=1e308)
+        cfg = stock_config(power_p=1e308)
         expected_gain, _ = reference_root(cfg)
         solution = optimal_gain(cfg)
         assert solution.gain == pytest.approx(expected_gain, rel=1e-14)
@@ -158,24 +143,24 @@ class TestOptimalGain:
         # root; silent relays still solve to an all-zero gain.
         with pytest.raises(ValueError, match="^relay gain is not finite: gain 0.0, "
                                              "output power nan, residual nan$"):
-            optimal_gain(config(power_p=1e308, alpha=10.0))
-        assert optimal_gain(config(power_q=0.0)) == AfGainSolution(0.0, 0.0, 0.0)
+            optimal_gain(stock_config(power_p=1e308, alpha=10.0))
+        assert optimal_gain(stock_config(power_q=0.0)) == AfGainSolution(0.0, 0.0, 0.0)
 
 
 class TestAfRate:
     def test_scalar_closed_form(self):
-        cfg = config(alpha=0.0, eta=0.0, mu=0.0)
+        cfg = stock_config(alpha=0.0, eta=0.0, mu=0.0)
         g2 = 100.0 / 11.0
         expected = math.log2(1.0 + 10.0 * g2 / (g2 + 1.0))
         gain = math.sqrt(g2)
         assert af_rate(cfg, gain) == pytest.approx(expected, rel=1e-13)
 
     def test_no_signal(self):
-        cfg = config(power_p=0.0)
+        cfg = stock_config(power_p=0.0)
         assert af_rate(cfg, 1.0) == 0.0
 
     def test_matches_finite_ring(self):
-        cfg = config()
+        cfg = stock_config()
         gain = optimal_gain(cfg).gain
         assert af_rate(cfg, gain) == pytest.approx(af_rate_finite(cfg, gain, 4096), abs=1e-9)
 
@@ -203,7 +188,7 @@ class TestAfRate:
     def test_nondecreasing_in_relay_budget(self):
         rates = []
         for power_q in (10.0, 100.0, 1000.0):
-            cfg = config(power_q=power_q)
+            cfg = stock_config(power_q=power_q)
             rates.append(af_rate(cfg, optimal_gain(cfg).gain))
         assert rates[0] <= rates[1] <= rates[2]
         assert rates[0] < rates[2]
@@ -211,7 +196,7 @@ class TestAfRate:
     def test_strictly_decreasing_in_feedback(self):
         rates = []
         for mu in (0.0, 0.4, 0.8):
-            cfg = config(mu=mu)
+            cfg = stock_config(mu=mu)
             rates.append(af_rate(cfg, optimal_gain(cfg).gain))
         assert rates[0] > rates[1] > rates[2]
 
@@ -219,7 +204,7 @@ class TestAfRate:
         # The noise-side square-root arguments m and p of the closed-ratio
         # form are b_term - c_term and b_term + c_term, so b_term >= |c_term|
         # is exactly m >= 0 and p >= 0: both roots stay real across the band.
-        cfg = config()
+        cfg = stock_config()
         g = optimal_gain(cfg).gain
         c = np.cos(2.0 * np.pi * uniform_grid(4096))
         h2 = cfg.gamma + 2.0 * cfg.eta * c
@@ -229,7 +214,7 @@ class TestAfRate:
 
     def test_rejects_unstable_gain(self):
         with pytest.raises(ValueError):
-            af_rate(config(), 1.3)
+            af_rate(stock_config(), 1.3)
 
     # float.hex of af_rate at the solved gain, as computed by sampling
     # every grid afresh: the strongest-echo end of fig3, fig5 at 20 dB and
@@ -262,13 +247,13 @@ class TestAfRate:
         return 2.0 * np.log2((np.sqrt(signal + minus) + np.sqrt(signal + plus))
                              / (np.sqrt(minus) + np.sqrt(plus)))
 
-    @pytest.mark.parametrize("pool", ["points", "rate_points"])
+    @pytest.mark.parametrize("pool", [POINT_POOL, RATE_POOL], ids=["points", "rate_points"])
     @pytest.mark.parametrize("echo", ["drawn", "mu0"])
     def test_samples_are_the_two_term_formula_bit_for_bit(self, pool, echo):
         # At mu = 0 `_af_samples` takes its one-term branch; with mu as
         # drawn, its in-place two-term one.
         grid = uniform_grid(128)
-        groups = json.loads((REFERENCE / f"{pool}.json").read_text())["pool"]
+        groups = json.loads(pool.read_text())["pool"]
         for entry in (entry for group in groups for entry in group):
             cfg = parse_config(entry["config"])
             if echo == "mu0":
@@ -293,7 +278,7 @@ class TestAfRate:
 
         monkeypatch.setattr(wynerrelay.af, "_af_samples", counting_samples)
         monkeypatch.setattr(wynerrelay.numerics, "integrate_periodic_report", reporting)
-        cfg = config()
+        cfg = stock_config()
         af_rate(cfg, optimal_gain(cfg).gain)
         (final_points,) = grids
         assert final_points > QuadratureConfig().initial_points
@@ -301,9 +286,28 @@ class TestAfRate:
                                       uniform_grid(final_points))
 
 
+class TestAfLimits:
+    @pytest.mark.parametrize("mu", [0.0, 0.4, 0.8])
+    @pytest.mark.parametrize("p_db", [-10.0, 0.0, 10.0])
+    def test_approached_at_low_relay_power(self, mu, p_db):
+        # As Q -> 0, af/rho2 -> rho1*E12/((1 + rho1*G1)*ln 2) for every mu,
+        # with G1 = beta^2 + 2*alpha^2 and E12, the mean of H1^2*H2^2, equal to
+        # G1*G2 + 8*alpha*beta*gamma*eta + 2*alpha^2*eta^2: the echo and the
+        # power law's mu terms enter only at second order in the gain. The
+        # limit's own next term is O(rho2), which sets the tolerance.
+        cfg = stock_config(mu=mu, power_p=db_to_linear(p_db), power_q=db_to_linear(-60.0))
+        alpha, beta, gamma, eta = cfg.alpha, cfg.beta, cfg.gamma, cfg.eta
+        g1 = beta**2 + 2.0 * alpha**2
+        g2 = gamma**2 + 2.0 * eta**2
+        e12 = g1 * g2 + 8.0 * alpha * beta * gamma * eta + 2.0 * alpha**2 * eta**2
+        limit = cfg.rho1 * e12 / ((1.0 + cfg.rho1 * g1) * math.log(2.0))
+        slope = af_rate(cfg, optimal_gain(cfg).gain) / cfg.rho2
+        assert slope == pytest.approx(limit, rel=10.0 * cfg.rho2, abs=0.0)
+
+
 class TestRingSimulator:
     def test_deterministic_under_seed(self):
-        cfg = config()
+        cfg = stock_config()
         gain = optimal_gain(cfg).gain
         first = simulate_relay_power(cfg, gain, symbols=1 << 14, seed=7)
         second = simulate_relay_power(cfg, gain, symbols=1 << 14, seed=7)
@@ -312,13 +316,13 @@ class TestRingSimulator:
         assert third.mean_power != first.mean_power
 
     def test_symbol_accounting(self):
-        cfg = config()
+        cfg = stock_config()
         mc = simulate_relay_power(cfg, 1.0, symbols=1000, seed=1234)
         assert mc.symbols >= 1000
         assert mc.symbols % 64 == 0
 
     def test_matches_power_formula(self):
-        cfg = config()
+        cfg = stock_config()
         gain = optimal_gain(cfg).gain
         mc = simulate_relay_power(cfg, gain, symbols=1 << 18, seed=7)
         assert abs(mc.mean_power - 100.0) <= 4.0 * mc.std_error
@@ -326,6 +330,6 @@ class TestRingSimulator:
     def test_silent_uplink(self):
         # With P=0 and no relay chatter the relay only ever amplifies its
         # own receiver noise.
-        cfg = config(power_p=0.0, mu=0.0)
+        cfg = stock_config(power_p=0.0, mu=0.0)
         mc = simulate_relay_power(cfg, 2.0, symbols=1 << 16, seed=3)
         assert abs(mc.mean_power - 4.0) <= 4.0 * mc.std_error

@@ -12,12 +12,13 @@ from wynerrelay import (
     LagGains,
     cf_solve,
     figure_spec,
-    parse_config,
     rate_mcp,
     upper_bound,
     waterfill,
 )
 from wynerrelay.cf import CfSolution
+
+from stock import stock_config
 
 # Scalar no-interference collapse (alpha=eta=0, beta=gamma=1, SNRs 10 and
 # 100), frozen from a 200-iteration scalar bisection on
@@ -25,21 +26,6 @@ from wynerrelay.cf import CfSolution
 SCALAR_R_STAR = 3.334984247712808
 SCALAR_RATE = 3.3232272350389858
 
-
-def config(**overrides):
-    mapping = {
-        "alpha": 0.2,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "eta": 0.2,
-        "mu": 0.4,
-        "power_p": 10.0,
-        "power_q": 100.0,
-        "noise1": 1.0,
-        "noise2": 1.0,
-    }
-    mapping.update(overrides)
-    return parse_config(mapping)
 
 
 def scalar_fixed_point(rho1, rho2, iterations=200):
@@ -99,7 +85,7 @@ def log_uniform_configs(count, seed=20240611):
     def gain():
         return 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-3.0, 3.0)
 
-    return [config(alpha=gain(), beta=gain(), gamma=gain(), eta=gain(),
+    return [stock_config(alpha=gain(), beta=gain(), gamma=gain(), eta=gain(),
                    power_p=10.0 ** rng.uniform(-6.0, 20.0),
                    power_q=10.0 ** rng.uniform(-6.0, 20.0))
             for _ in range(count)]
@@ -116,24 +102,24 @@ class TestScalarCollapse:
         assert rate == pytest.approx(SCALAR_RATE, abs=1e-12)
 
     def test_solver_agrees_with_oracle(self):
-        solution = cf_solve(config(alpha=0.0, eta=0.0))
+        solution = cf_solve(stock_config(alpha=0.0, eta=0.0))
         assert solution.r_star == pytest.approx(SCALAR_R_STAR, abs=1e-10)
         assert solution.rate == pytest.approx(SCALAR_RATE, abs=1e-10)
 
 
 class TestCfSolve:
     def test_silent_relays(self):
-        solution = cf_solve(config(power_q=0.0))
+        solution = cf_solve(stock_config(power_q=0.0))
         assert solution == CfSolution(rate=0.0, r_star=0.0, residual=0.0, second_lag_rate=0.0)
 
     def test_dead_second_lag(self):
-        solution = cf_solve(config(gamma=0.0, eta=0.0))
+        solution = cf_solve(stock_config(gamma=0.0, eta=0.0))
         assert solution.rate == 0.0
         assert solution.r_star == 0.0
 
     def test_fixed_point_identity(self):
         for overrides in ({}, {"power_p": 100.0}, {"eta": 0.4}, {"alpha": 0.6}):
-            solution = cf_solve(config(**overrides))
+            solution = cf_solve(stock_config(**overrides))
             assert solution.rate + solution.r_star == pytest.approx(
                 solution.second_lag_rate, abs=1e-9
             )
@@ -141,28 +127,28 @@ class TestCfSolve:
 
     def test_independent_of_relay_coupling(self):
         solutions = {
-            mu: cf_solve(config(mu=mu)) for mu in (0.0, 0.4, 0.8)
+            mu: cf_solve(stock_config(mu=mu)) for mu in (0.0, 0.4, 0.8)
         }
         baseline = solutions[0.0]
         for solution in solutions.values():
             assert dataclasses.astuple(solution) == dataclasses.astuple(baseline)
 
     def test_strictly_increasing_in_uplink_snr(self):
-        rates = [cf_solve(config(power_p=p)).rate for p in (1.0, 10.0, 100.0)]
+        rates = [cf_solve(stock_config(power_p=p)).rate for p in (1.0, 10.0, 100.0)]
         assert rates[0] < rates[1] < rates[2]
 
     def test_strictly_increasing_in_relay_snr(self):
-        rates = [cf_solve(config(power_q=q)).rate for q in (10.0, 100.0, 1000.0)]
+        rates = [cf_solve(stock_config(power_q=q)).rate for q in (10.0, 100.0, 1000.0)]
         assert rates[0] < rates[1] < rates[2]
 
     def test_sandwiched_by_upper_bound(self):
         for overrides in ({}, {"power_q": 10.0}, {"eta": 0.4, "power_p": 50.0}):
-            cfg = config(**overrides)
+            cfg = stock_config(**overrides)
             rate = cf_solve(cfg).rate
             assert 0.0 <= rate <= upper_bound(cfg)
 
     def test_r_star_nonnegative(self):
-        assert cf_solve(config(power_q=1.0)).r_star >= 0.0
+        assert cf_solve(stock_config(power_q=1.0)).r_star >= 0.0
 
     # Where the bisection stops, frozen from the solver. A change to its
     # stop rule moves the default r* by about 1e-10, far beyond rel 1e-14.
@@ -177,7 +163,7 @@ class TestCfSolve:
         ({"power_p": 0.0}, lambda carried: (0.0, carried, 0.0)),
     ], ids=["default", "second_hop_below_tol", "silent_mobiles"])
     def test_stopping_point(self, overrides, expected):
-        solution = cf_solve(config(**overrides))
+        solution = cf_solve(stock_config(**overrides))
         assert (solution.rate, solution.r_star, solution.residual) == \
             expected(solution.second_lag_rate)
 
@@ -190,7 +176,7 @@ class TestBisectionReplay:
         preset_configs,
         lambda: log_uniform_configs(400),
         # Width stops far from the residual tolerance (r* well below 1).
-        lambda: [config(beta=1e4), config(power_p=1e12), config(power_p=1e6)],
+        lambda: [stock_config(beta=1e4), stock_config(power_p=1e12), stock_config(power_p=1e6)],
     ], ids=["presets", "log_uniform", "width_stops"])
     def test_bit_identical_to_bisection(self, configs):
         for cfg in configs():
@@ -214,7 +200,7 @@ class TestBisectionReplay:
 
 class TestCfLimits:
     def test_approached_at_large_relay_snr(self):
-        cfg = config(power_q=100.0 * 1e4)
+        cfg = stock_config(power_q=100.0 * 1e4)
         limit = rate_mcp(cfg.first_lag, cfg.rho1)
         assert cf_solve(cfg).rate == pytest.approx(limit, abs=1e-3)
 
@@ -229,7 +215,7 @@ class TestCfLimits:
         and eta otherwise. So the gap times rho2 tends to
         rho1*R1'(rho1)*2^R1(rho1)/kappa^2.
         """
-        cfg = config(gamma=gamma, eta=eta, power_q=10.0 ** (q_db / 10.0))
+        cfg = stock_config(gamma=gamma, eta=eta, power_q=10.0 ** (q_db / 10.0))
         if gamma >= 2.0 * eta:
             kappa = (gamma + math.sqrt(gamma**2 - 4.0 * eta**2)) / 2.0
         else:
@@ -258,6 +244,6 @@ class TestCfLimits:
     def test_strict_gap_under_waterfilling(self):
         # Even with unbounded uplink SNR the scheme stays below the
         # waterfilled second-lag rate, because the relays cannot cooperate.
-        cfg = config(power_p=1e6)
+        cfg = stock_config(power_p=1e6)
         rate = cf_solve(cfg).rate
         assert rate < waterfill(LagGains(local=1.0, cross=0.2), 100.0).rate

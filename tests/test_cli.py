@@ -16,8 +16,27 @@ import wynerrelay.sweep
 from wynerrelay import (FIGURES, LagGains, QuadratureConfig, SystemConfig, cli, emit,
                         figure_spec, rate_mcp, run_sweep)
 from wynerrelay.cli import main
-from wynerrelay.model import PACKAGE_VERSION
+from wynerrelay.model import DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION
 
+from stock import FIG3_GOLDEN, REFERENCE, stock_mapping
+
+DATA = Path(__file__).parent / "data"
+# Every pinned output of the command line, as (argv, recorded file): the one
+# list that the suite and CI check, and the list to re-record when a change
+# moves an output. The JSON rows hold every value at full precision, so they
+# pin all scheme columns bit for bit.
+RECORDED_OUTPUTS = [
+    pytest.param(["figure", "fig3"], FIG3_GOLDEN, id="fig3"),
+    pytest.param(["figure", "fig3", "--jobs", "8"], FIG3_GOLDEN, id="fig3-jobs8"),
+    pytest.param(["figure", "fig3", "--format", "json"], DATA / "fig3.json", id="fig3-json"),
+    pytest.param(["figure", "fig4", "--format", "json"], DATA / "fig4.json", id="fig4-json"),
+    pytest.param(["figure", "fig5", "--format", "json"], DATA / "fig5.json", id="fig5-json"),
+    pytest.param(["figure", "fig4"], REFERENCE / "fig4.csv", id="fig4"),
+    pytest.param(["figure", "fig5"], REFERENCE / "fig5.csv", id="fig5"),
+    pytest.param(["figure", "fig4", "--verbose"], DATA / "fig4_verbose.csv", id="fig4-verbose"),
+    pytest.param(["rate", "--P-dB", "5", "--Q-dB", "25", "--format", "json", "--verbose"],
+                 DATA / "rate_verbose.json", id="rate-verbose-json"),
+]
 FIG3_FLAGS = ["--mu", "0.4", "--P-dB", "10", "--Q-dB", "20"]
 ALL_SCHEMES_REVERSED = "upper_bound,af_mu0,af,cf"
 # Scheme values, then diagnostics, then cross-checks, each in scheme order.
@@ -30,6 +49,14 @@ VERBOSE_ORACLE_COLUMNS = [
     "af_mu0_oracle", "af_mu0_oracle_delta",
     "upper_bound_oracle", "upper_bound_oracle_delta",
 ]
+
+
+class TestRecordedOutputs:
+    @pytest.mark.parametrize("argv, recorded", RECORDED_OUTPUTS)
+    def test_matches_recorded_bytes(self, argv, recorded, tmp_path):
+        target = tmp_path / "out"
+        assert main([*argv, "--output", str(target)]) == 0
+        assert target.read_bytes() == recorded.read_bytes()
 
 
 class TestRateCommand:
@@ -61,8 +88,11 @@ class TestRateCommand:
         assert "af_power_residual," in out
 
     def test_unknown_scheme_is_usage_error(self, capfd):
-        assert main(["rate", "--schemes", "cf,bogus"]) == 1
-        assert "bogus" in capfd.readouterr().err
+        # Each unknown name shows by its repr, so an empty one shows too.
+        for schemes, named in (("cf,bogus", "'bogus'"), ("cf,", "''")):
+            assert main(["rate", "--schemes", schemes]) == 1
+            assert capfd.readouterr().err == (
+                f"wynerrelay: error: unknown scheme(s): {named}\n")
 
     def test_verbose_oracle_column_order(self, capfd, quick_simulator):
         assert main(["rate", "--verbose", "--oracle", "--schemes",
@@ -95,10 +125,7 @@ class TestRateCommand:
         # zero or below the pole guard, carry nothing: every scheme and the
         # bound are 0.
         path = tmp_path / "silent.json"
-        path.write_text(json.dumps({
-            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
-            "power_p": 10.0, "power_q": 0.0, "noise1": 1.0, "noise2": 1.0,
-        }))
+        path.write_text(json.dumps(stock_mapping(power_q=0.0)))
         for flags in (["--config", str(path)], ["--gamma", "0", "--eta", "0"],
                       ["--gamma", "1e-200", "--eta", "0"]):
             assert main(["rate", "--format", "json", "--schemes",
@@ -110,10 +137,7 @@ class TestRateCommand:
         # The first hop's rate overflows at beta = 1e200, but silent relays
         # carry nothing, so the bound is 0 without it.
         path = tmp_path / "silent.json"
-        path.write_text(json.dumps({
-            "alpha": 0.2, "beta": 1e200, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
-            "power_p": 10.0, "power_q": 0.0, "noise1": 1.0, "noise2": 1.0,
-        }))
+        path.write_text(json.dumps(stock_mapping(beta=1e200, power_q=0.0)))
         assert main(["rate", "--config", str(path), "--schemes", "upper_bound",
                      "--verbose"]) == 0
         assert capfd.readouterr().out == (
@@ -213,13 +237,6 @@ class TestRateCommand:
         best = float(captured.err.rsplit("best estimate ", 1)[1])
         assert best == pytest.approx(estimate, abs=1e-9)
 
-    def test_json_verbose_matches_recorded_bytes(self, tmp_path, request):
-        recorded = request.path.parent / "data" / "rate_verbose.json"
-        target = tmp_path / "rate.json"
-        assert main(["rate", "--P-dB", "5", "--Q-dB", "25", "--format", "json",
-                     "--verbose", "--output", str(target)]) == 0
-        assert target.read_bytes() == recorded.read_bytes()
-
     def test_rate_above_upper_bound_is_numerical_failure(self, monkeypatch, capfd):
         solve = wynerrelay.sweep.cf_solve
         monkeypatch.setattr(wynerrelay.sweep, "cf_solve",
@@ -261,32 +278,10 @@ class TestSweepCommand:
 
 
 class TestFigureCommand:
-    def test_matches_golden_bytes(self, tmp_path, request):
-        golden = request.path.parent / "data" / "fig3_golden.csv"
-        target = tmp_path / "fig3.csv"
-        assert main(["figure", "fig3", "--output", str(target)]) == 0
-        assert target.read_bytes() == golden.read_bytes()
-
-    def test_json_matches_golden_bytes(self, tmp_path, request):
-        golden = request.path.parent / "data" / "fig3.json"
-        target = tmp_path / "fig3.json"
-        assert main(["figure", "fig3", "--format", "json", "--output", str(target)]) == 0
-        assert target.read_bytes() == golden.read_bytes()
-
-    # JSON holds every value at full precision, so these pin all four
-    # scheme columns of fig4 and fig5 bit for bit.
-    @pytest.mark.parametrize("name", ["fig4", "fig5"])
-    def test_json_matches_recorded_bytes(self, name, tmp_path, request):
-        golden = request.path.parent / "data" / f"{name}.json"
-        target = tmp_path / f"{name}.json"
-        assert main(["figure", name, "--format", "json", "--output", str(target)]) == 0
-        assert target.read_bytes() == golden.read_bytes()
-
-    def test_parallel_run_identical(self, tmp_path, request):
-        golden = request.path.parent / "data" / "fig3_golden.csv"
-        target = tmp_path / "fig3_jobs.csv"
-        assert main(["figure", "fig3", "--jobs", "8", "--output", str(target)]) == 0
-        assert target.read_bytes() == golden.read_bytes()
+    def test_matches_golden_bytes(self, capfdbinary):
+        # The table writes through --output; this is the stdout path.
+        assert main(["figure", "fig3"]) == 0
+        assert capfdbinary.readouterr().out == FIG3_GOLDEN.read_bytes()
 
     def test_unknown_figure(self, capfd):
         assert main(["figure", "fig9"]) == 1
@@ -333,10 +328,7 @@ class TestFigureCommand:
 class TestConfigHandling:
     def test_config_file(self, tmp_path, capfd):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
-            "P_dB": 10.0, "Q_dB": 20.0, "noise1": 1.0, "noise2": 1.0,
-        }))
+        path.write_text(json.dumps(DEFAULT_CONFIG_MAPPING))
         assert main(["rate", "--config", str(path), "--schemes", "cf"]) == 0
         baseline = capfd.readouterr().out
         assert main(["rate", "--schemes", "cf", *FIG3_FLAGS]) == 0
@@ -344,10 +336,7 @@ class TestConfigHandling:
 
     def test_flag_overrides_config_file(self, tmp_path, capfd):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
-            "power_p": 10.0, "power_q": 100.0, "noise1": 1.0, "noise2": 1.0,
-        }))
+        path.write_text(json.dumps(stock_mapping()))
         assert main(["rate", "--config", str(path), "--schemes", "cf"]) == 0
         baseline = capfd.readouterr().out
         assert main(["rate", "--config", str(path), "--schemes", "cf",
@@ -356,11 +345,7 @@ class TestConfigHandling:
 
     def test_conflicting_power_forms(self, tmp_path, capfd):
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
-            "power_p": 10.0, "P_dB": 10.0, "power_q": 100.0,
-            "noise1": 1.0, "noise2": 1.0,
-        }))
+        path.write_text(json.dumps(stock_mapping(P_dB=10.0)))
         assert main(["rate", "--config", str(path)]) == 1
         assert "power_p" in capfd.readouterr().err
 
@@ -370,10 +355,7 @@ class TestConfigHandling:
     def test_figure_refuses_config_file(self, tmp_path, capfd):
         # A preset would otherwise run as if the file were not there.
         path = tmp_path / "config.json"
-        path.write_text(json.dumps({
-            "alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2, "mu": 0.4,
-            "P_dB": 10.0, "Q_dB": 20.0, "noise1": 1.0, "noise2": 1.0,
-        }))
+        path.write_text(json.dumps(DEFAULT_CONFIG_MAPPING))
         for config in (str(path), "/does/not/exist.json"):
             assert main(["figure", "fig3", "--config", config]) == 1
             captured = capfd.readouterr()
@@ -447,7 +429,6 @@ class TestExitCodes:
         assert PACKAGE_VERSION in capfd.readouterr().out
 
 
-DATA = Path(__file__).parent / "data"
 # One process's calls, in an order that lets state left over from one call
 # (a flag's value, an error, an early exit) show in the next.
 REUSE_SEQUENCE = [
@@ -477,7 +458,7 @@ class TestParserReuse:
         assert cli._build_parser.cache_info().misses == 1
         assert reused == fresh
         assert [code for code, _, _ in reused] == [0, 0, 1, 0, 0, 0]
-        assert reused[4][1] == (DATA / "fig3_golden.csv").read_text()
+        assert reused[4][1] == FIG3_GOLDEN.read_text()
 
     @pytest.mark.parametrize("screen", HELP_SCREENS)
     def test_help_matches_recorded_screen(self, screen, monkeypatch, capfd):

@@ -21,21 +21,7 @@ from wynerrelay import (
 from wynerrelay.model import config_to_mapping, db_to_linear, load_mapping
 from wynerrelay.numerics import uniform_grid
 
-
-def stock_mapping(**overrides):
-    mapping = {
-        "alpha": 0.2,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "eta": 0.2,
-        "mu": 0.4,
-        "power_p": 10.0,
-        "power_q": 100.0,
-        "noise1": 1.0,
-        "noise2": 1.0,
-    }
-    mapping.update(overrides)
-    return mapping
+from stock import stock_mapping
 
 
 class TestDecibels:

@@ -9,7 +9,7 @@ import pytest
 from wynerrelay import ConvergenceError, QuadratureConfig
 from wynerrelay.numerics import _grid_average, integrate_periodic_report, uniform_grid
 
-TIGHT = QuadratureConfig(max_points=2**22, rel_tol=1e-12)
+from stock import TIGHT
 
 
 class TestUniformGrid:

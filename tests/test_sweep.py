@@ -3,7 +3,6 @@
 import collections
 import dataclasses
 import json
-from pathlib import Path
 
 import pytest
 
@@ -24,24 +23,7 @@ from wynerrelay import (
 from wynerrelay.model import db_to_linear
 from wynerrelay.sweep import SCHEME_ORDER, canonical_schemes
 
-
-RATE_POOL = Path(__file__).parents[1] / "perfbench" / "reference" / "rate_points.json"
-
-
-def base_config(**overrides):
-    mapping = {
-        "alpha": 0.2,
-        "beta": 1.0,
-        "gamma": 1.0,
-        "eta": 0.2,
-        "mu": 0.4,
-        "power_p": 10.0,
-        "power_q": 100.0,
-        "noise1": 1.0,
-        "noise2": 1.0,
-    }
-    mapping.update(overrides)
-    return parse_config(mapping)
+from stock import FIG3_GOLDEN, RATE_POOL, stock_config
 
 
 def small_spec(**overrides):
@@ -50,7 +32,7 @@ def small_spec(**overrides):
         "start": 0.0,
         "stop": 0.5,
         "points": 3,
-        "base": base_config(),
+        "base": stock_config(),
         "schemes": ("cf", "upper_bound"),
     }
     fields.update(overrides)
@@ -70,6 +52,9 @@ class TestCanonicalSchemes:
     def test_rejects_unknown_or_empty(self):
         with pytest.raises(ConfigError, match="af_mu9"):
             canonical_schemes(["cf", "af_mu9"])
+        # Names that are not strings sort by their repr, too.
+        with pytest.raises(ConfigError, match=r"^unknown scheme\(s\): 'x', 1$"):
+            run_point(stock_config(), ["x", 1])
         with pytest.raises(ConfigError):
             canonical_schemes([])
 
@@ -83,7 +68,7 @@ class TestSweepSpec:
 
     def test_db_axis_sets_linear_power(self):
         spec = small_spec(axis="rho1_db", start=0.0, stop=40.0,
-                          base=base_config(noise1=2.0))
+                          base=stock_config(noise1=2.0))
         assert spec.values[1] == 20.0
         assert spec.configs[1].power_p == pytest.approx(200.0, rel=1e-12)
         spec2 = small_spec(axis="rho2_db", start=0.0, stop=30.0)
@@ -123,29 +108,29 @@ class TestSweepSpec:
             for value in spec.values)
         assert "values" not in repr(spec)
         assert "configs" not in repr(spec)
-        moved = dataclasses.replace(spec, base=base_config(mu=0.2))
+        moved = dataclasses.replace(spec, base=stock_config(mu=0.2))
         assert all(config.mu == 0.2 for config in moved.configs)
 
 
 class TestRunPoint:
     def test_silent_uplink_zeroes_every_scheme(self):
-        rates = run_point(base_config(power_p=0.0),
+        rates = run_point(stock_config(power_p=0.0),
                           ("cf", "af", "af_mu0", "upper_bound"))
         assert rates == {"cf": 0.0, "af": 0.0, "af_mu0": 0.0, "upper_bound": 0.0}
 
     def test_cf_ignores_relay_coupling(self):
-        low = run_point(base_config(mu=0.0), ("cf",))
-        high = run_point(base_config(mu=0.8), ("cf",))
+        low = run_point(stock_config(mu=0.0), ("cf",))
+        high = run_point(stock_config(mu=0.8), ("cf",))
         assert low["cf"] == high["cf"]
 
     def test_af_mu0_solves_uncoupled_ring(self):
-        rates = run_point(base_config(mu=0.8), ("af", "af_mu0"))
-        uncoupled = run_point(base_config(mu=0.0), ("af",))
+        rates = run_point(stock_config(mu=0.8), ("af", "af_mu0"))
+        uncoupled = run_point(stock_config(mu=0.0), ("af",))
         assert rates["af_mu0"] == uncoupled["af"]
         assert rates["af_mu0"] > rates["af"]
 
     def test_diagnostics_are_opt_in(self):
-        config = base_config()
+        config = stock_config()
         plain = run_point(config, ("cf", "af"))
         assert set(plain) == {"cf", "af"}
         verbose = run_point(config, ("cf", "af"), diagnostics=True)
@@ -156,7 +141,7 @@ class TestRunPoint:
     def test_failure_names_scheme(self):
         tiny = QuadratureConfig(max_points=8)
         with pytest.raises(SchemeError, match="upper_bound"):
-            run_point(base_config(eta=0.6), ("upper_bound",), tiny)
+            run_point(stock_config(eta=0.6), ("upper_bound",), tiny)
 
     @pytest.mark.parametrize("scheme, checker", [
         ("cf", "rate_mcp_finite"), ("af", "simulate_relay_power"),
@@ -167,20 +152,20 @@ class TestRunPoint:
             raise ArithmeticError("ring diverged")
 
         monkeypatch.setattr(wynerrelay.sweep, checker, diverged)
-        assert run_point(base_config(), (scheme,))[scheme] > 0.0
+        assert run_point(stock_config(), (scheme,))[scheme] > 0.0
         with pytest.raises(SchemeError, match=f"^{scheme}: oracle: ring diverged$"):
-            run_point(base_config(), (scheme,), oracle_seed=[1, 0])
+            run_point(stock_config(), (scheme,), oracle_seed=[1, 0])
 
     def test_rates_checked_against_upper_bound(self, monkeypatch):
         monkeypatch.setattr(wynerrelay.sweep, "af_rate", lambda *args: 1e3)
-        assert run_point(base_config(), ("af",)) == {"af": 1e3}
+        assert run_point(stock_config(), ("af",)) == {"af": 1e3}
         with pytest.raises(SchemeError, match="^af: rate 1000.0 exceeds"):
-            run_point(base_config(), ("cf", "af", "upper_bound"))
+            run_point(stock_config(), ("cf", "af", "upper_bound"))
 
     def test_sim_delta_is_taken_from_the_solved_power(self, quick_simulator):
         # Near the echo pole the power law recomputed from the gain alone
         # reads 3.3e8 here; the gain solve returned the budget, 1e12.
-        config = base_config(mu=0.8, power_q=db_to_linear(120.0))
+        config = stock_config(mu=0.8, power_q=db_to_linear(120.0))
         point = run_point(config, ("af",), oracle_seed=[1, 0])
         solved = optimal_gain(config).output_power
         assert point["af_sim_delta"] == point["af_sim_power"] - solved
@@ -188,7 +173,7 @@ class TestRunPoint:
     def test_non_finite_value_is_refused(self, monkeypatch):
         monkeypatch.setattr(wynerrelay.sweep, "upper_bound", lambda *args: float("nan"))
         with pytest.raises(SchemeError, match="^upper_bound: column upper_bound"):
-            run_point(base_config(), ("upper_bound",))
+            run_point(stock_config(), ("upper_bound",))
 
     def test_bound_power_residual_on_rate_pool(self):
         # The waterfilled second hop spends its budget to within two units
@@ -202,9 +187,9 @@ class TestRunPoint:
                 assert abs(residual) <= 2.0 * 2.0**-52 * max(1.0, config.rho2), point
 
     def test_bound_power_residual_without_a_solve(self):
-        assert run_point(base_config(power_q=0.0), ("upper_bound",),
+        assert run_point(stock_config(power_q=0.0), ("upper_bound",),
                          diagnostics=True)["upper_bound_power_residual"] == 0.0
-        silent_hop = run_point(base_config(gamma=0.0, eta=0.0), ("upper_bound",),
+        silent_hop = run_point(stock_config(gamma=0.0, eta=0.0), ("upper_bound",),
                                diagnostics=True)
         assert silent_hop["upper_bound_power_residual"] == -100.0
 
@@ -233,7 +218,7 @@ class TestRunSweep:
     def test_failure_reports_axis_value(self):
         tiny = QuadratureConfig(max_points=8)
         spec = small_spec(axis="power_q", start=1.0, stop=2.0,
-                          base=base_config(eta=0.6))
+                          base=stock_config(eta=0.6))
         with pytest.raises(SchemeError, match="power_q = 1"):
             run_sweep(spec, tiny)
 
@@ -355,7 +340,7 @@ class TestSweepReuse:
 
     def test_point_queries_keep_nothing(self, solve_calls):
         for _ in range(2):
-            run_point(base_config(), ("cf", "upper_bound"))
+            run_point(stock_config(), ("cf", "upper_bound"))
         assert solve_calls == {"cf_solve": 2, "waterfill": 2}
 
 
@@ -420,7 +405,6 @@ class TestFigureSpecs:
 
 
 class TestGoldenFigure:
-    def test_relay_coupling_table_matches_golden(self, request):
-        golden = request.path.parent / "data" / "fig3_golden.csv"
+    def test_relay_coupling_table_matches_golden(self):
         data = emit(run_sweep(figure_spec("fig3")), "csv")
-        assert data == golden.read_bytes()
+        assert data == FIG3_GOLDEN.read_bytes()

@@ -8,9 +8,7 @@ import pytest
 import wynerrelay.wyner
 from wynerrelay import (
     LagGains,
-    QuadratureConfig,
     cf_solve,
-    parse_config,
     rate_mcp,
     rate_mcp_finite,
     upper_bound,
@@ -20,7 +18,7 @@ from wynerrelay import (
 from wynerrelay.numerics import integrate_periodic_report, uniform_grid
 from wynerrelay.wyner import channel_response
 
-TIGHT = QuadratureConfig(max_points=2**22, rel_tol=1e-12)
+from stock import TIGHT, stock_config
 
 # Discrete waterfilling on a 2^20 uniform subchannel grid, frozen from a
 # sort-and-fill reference run for lag (cross 0.2, local 1) at SNR 100.
@@ -131,10 +129,7 @@ class TestRateMcp:
             raise AssertionError("the CF path must not integrate numerically")
 
         monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic_report", refuse)
-        config = parse_config({"alpha": 0.2, "beta": 1.0, "gamma": 1.0, "eta": 0.2,
-                               "mu": 0.4, "power_p": 10.0, "power_q": 100.0,
-                               "noise1": 1.0, "noise2": 1.0})
-        assert cf_solve(config).rate > 0.0
+        assert cf_solve(stock_config()).rate > 0.0
 
 
 class TestRateMcpSlope:
@@ -342,19 +337,8 @@ class TestWaterfill:
 class TestUpperBound:
     @staticmethod
     def config(**overrides):
-        mapping = {
-            "alpha": 0.2,
-            "beta": 1.0,
-            "gamma": 1.0,
-            "eta": 0.2,
-            "mu": 0.4,
-            "power_p": 10.0,
-            "power_q": 10.0,
-            "noise1": 1.0,
-            "noise2": 1.0,
-        }
-        mapping.update(overrides)
-        return parse_config(mapping)
+        # Both hops at SNR 10, unless overridden.
+        return stock_config(**{"power_q": 10.0, **overrides})
 
     def test_symmetric_config_picks_uplink_arm(self):
         config = self.config()
