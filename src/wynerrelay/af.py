@@ -134,58 +134,37 @@ def optimal_gain(config: SystemConfig) -> AfGainSolution:
 def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
     """log2(1 + SINR) of spatial subchannel f, averaged over time in closed form.
 
-    Over the temporal frequency w, the numerator and the denominator of 1 + SINR
-    are a - b*cos(w) with a -+ b = (signal + minus, signal + plus), (minus, plus),
-    and the mean of log(a - b*cos w) is 2*log((sqrt(a - b) + sqrt(a + b))/2).
-    Without an echo, minus == plus and the ratio is sqrt(signal + minus) / sqrt(minus),
-    the same bits, since (x + x)/(y + y) == x/y in binary floating point.
+    With c = cos(2*pi*f), S = P*g^2*H1^2*H2^2 is the signal, N1*g^2*H2^2 the
+    relay noise, and m, p = relay noise + N2*(1 -+ 2*g*mu*c)^2. Over the
+    temporal frequency w, 1 + SINR is a ratio of two a - b*cos(w), with
+    a -+ b = (S + m, S + p) and (m, p), and the mean of log(a - b*cos w) is
+    2*log((sqrt(a - b) + sqrt(a + b))/2). A gain above one is factored out
+    as a power of two, so S stays finite up to Q of about 3080 dB. Without an
+    echo (2*g*mu == 0), m == p, and 2*log2(sqrt(S + m)/sqrt(m)) gives the same
+    bits at half the work, since (x + x)/(y + y) == x/y in binary floating point.
     """
     import numpy as np
 
     c = np.cos(2.0 * np.pi * np.asarray(f, dtype=np.float64))
     # A gain 2^e*mantissa with e > 0 scales numerator and denominator by 2^(-2e),
-    # so S = P*g^2*H1^2*H2^2 cannot overflow (2^(-2e) itself would, for e << 0).
+    # so S cannot overflow (2^(-2e) itself would, for e << 0).
     exponent = max(math.frexp(gain)[1], 0)
     scaled = math.ldexp(gain, -exponent)
     noise2 = config.noise2 * math.ldexp(1.0, -2 * exponent)
-    # Each product is formed once, in place where its operand is not read again.
-    signal = c * (2.0 * config.alpha)
-    signal += config.beta
-    np.square(signal, out=signal)
-    signal *= config.power_p * scaled ** 2
-    relay_noise = c * (2.0 * config.eta)
-    relay_noise += config.gamma
-    np.square(relay_noise, out=relay_noise)
-    signal *= relay_noise
-    relay_noise *= config.noise1 * scaled ** 2
+    h2_squared = np.square(config.gamma + 2.0 * config.eta * c)
+    signal = (config.power_p * scaled ** 2
+              * np.square(config.beta + 2.0 * config.alpha * c) * h2_squared)
+    relay_noise = config.noise1 * scaled ** 2 * h2_squared
     # Sums of nonnegative terms, so every square root below takes a real one.
     echo_gain = 2.0 * gain * config.mu
     if echo_gain == 0.0:
-        # The echo is +-0, so both noise terms are relay_noise + noise2.
-        relay_noise += noise2
-        signal += relay_noise
-        ratio = np.sqrt(signal, out=signal)
-        ratio /= np.sqrt(relay_noise, out=relay_noise)
-    else:
-        echo = np.multiply(c, echo_gain, out=c)
-        minus = np.subtract(1.0, echo)
-        np.square(minus, out=minus)
-        minus *= noise2
-        minus += relay_noise
-        plus = np.add(echo, 1.0, out=echo)
-        np.square(plus, out=plus)
-        plus *= noise2
-        plus += relay_noise
-        ratio = np.add(signal, minus)
-        np.sqrt(ratio, out=ratio)
-        signal += plus
-        ratio += np.sqrt(signal, out=signal)
-        np.sqrt(minus, out=minus)
-        minus += np.sqrt(plus, out=plus)
-        ratio /= minus
-    np.log2(ratio, out=ratio)
-    ratio *= 2.0
-    return ratio
+        minus = relay_noise + noise2
+        return 2.0 * np.log2(np.sqrt(signal + minus) / np.sqrt(minus))
+    echo = echo_gain * c
+    minus = relay_noise + noise2 * np.square(1.0 - echo)
+    plus = relay_noise + noise2 * np.square(1.0 + echo)
+    return 2.0 * np.log2((np.sqrt(signal + minus) + np.sqrt(signal + plus))
+                         / (np.sqrt(minus) + np.sqrt(plus)))
 
 
 def af_rate(config: SystemConfig, gain,

@@ -120,9 +120,14 @@ SCHEME_ORDER = tuple(SCHEMES)
 
 
 def canonical_schemes(schemes) -> tuple:
-    requested = set(schemes)
-    # By repr, so that an empty name shows and names of any type sort.
-    unknown = sorted(map(repr, requested - SCHEMES.keys()))
+    if isinstance(schemes, str):
+        raise ConfigError("expected a collection of scheme names, "
+                          f"got the string {schemes!r}")
+    requested = list(schemes)
+    # By repr, so that an empty name shows and names of any type sort; a name
+    # that is not a string is unknown, even one that cannot be hashed.
+    unknown = sorted({repr(name) for name in requested
+                      if not isinstance(name, str) or name not in SCHEMES})
     if unknown:
         raise ConfigError(f"unknown scheme(s): {', '.join(unknown)}")
     if not requested:

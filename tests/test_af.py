@@ -250,8 +250,8 @@ class TestAfRate:
     @pytest.mark.parametrize("pool", [POINT_POOL, RATE_POOL], ids=["points", "rate_points"])
     @pytest.mark.parametrize("echo", ["drawn", "mu0"])
     def test_samples_are_the_two_term_formula_bit_for_bit(self, pool, echo):
-        # At mu = 0 `_af_samples` takes its one-term branch; with mu as
-        # drawn, its in-place two-term one.
+        # At mu = 0 `_af_samples` takes its echo-free branch; with mu as
+        # drawn, the two-term ratio that this formula also writes.
         grid = uniform_grid(128)
         groups = json.loads(pool.read_text())["pool"]
         for entry in (entry for group in groups for entry in group):

@@ -132,6 +132,12 @@ class TestParseConfig:
         del mapping["mu"]
         with pytest.raises(ConfigError, match="mu"):
             parse_config(mapping)
+        # A power given in neither form names both of its keys.
+        mapping = stock_mapping()
+        del mapping["power_q"]
+        with pytest.raises(ConfigError,
+                           match=r"^missing config key 'power_q' \(or 'Q_dB'\)$"):
+            parse_config(mapping)
 
     def test_unknown_key_named(self):
         with pytest.raises(ConfigError, match="wavelength"):

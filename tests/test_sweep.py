@@ -55,6 +55,13 @@ class TestCanonicalSchemes:
         # Names that are not strings sort by their repr, too.
         with pytest.raises(ConfigError, match=r"^unknown scheme\(s\): 'x', 1$"):
             run_point(stock_config(), ["x", 1])
+        # A bare string is not split into one-letter names, and a name that
+        # cannot be hashed is unknown, too.
+        with pytest.raises(ConfigError, match=r"^expected a collection of scheme names, "
+                                              r"got the string 'cf'$"):
+            run_point(stock_config(), "cf")
+        with pytest.raises(ConfigError, match=r"^unknown scheme\(s\): \['cf'\]$"):
+            run_point(stock_config(), [["cf"]])
         with pytest.raises(ConfigError):
             canonical_schemes([])
 
@@ -161,6 +168,9 @@ class TestRunPoint:
         assert run_point(stock_config(), ("af",)) == {"af": 1e3}
         with pytest.raises(SchemeError, match="^af: rate 1000.0 exceeds"):
             run_point(stock_config(), ("cf", "af", "upper_bound"))
+        monkeypatch.setattr(wynerrelay.sweep, "af_rate", lambda *args: -1e-3)
+        with pytest.raises(SchemeError, match=r"^af: rate went negative: -0\.001$"):
+            run_point(stock_config(), ("af",))
 
     def test_sim_delta_is_taken_from_the_solved_power(self, quick_simulator):
         # Near the echo pole the power law recomputed from the gain alone

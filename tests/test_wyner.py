@@ -332,6 +332,7 @@ class TestWaterfill:
         for lag, rho in ((lag, 0.0), (LagGains(local=0.0, cross=0.0), 10.0)):
             solution = waterfill(lag, rho)
             assert (solution.rate, solution.spent_power) == (0.0, 0.0)
+            assert waterfill_finite(lag, rho, 64) == 0.0
 
 
 class TestUpperBound:
