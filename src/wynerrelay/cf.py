@@ -20,7 +20,7 @@ from .wyner import _LN2, rate_mcp, rate_mcp_slope
 # Balance tolerance and relative bracket width at which the solve stops.
 _TOL = 1e-10
 
-# Newton steps that narrow the replay's zone. The replay is exact however
+# Newton steps that narrow `_uncertain_zone`. The bisection is exact however
 # wide the zone is left, so this bounds only the work.
 _NEWTON_STEPS = 40
 
@@ -51,15 +51,14 @@ def cf_solve(config: SystemConfig) -> CfSolution:
     The balance b(r) = rate(r) - (carried - r), with carried the second-hop
     rate, is strictly increasing in r and equals -carried at r = 0, so its
     root lies on [0, carried] and bisection is certified. A second hop
-    carrying at most 1e-10 gives r* = 0 outright. Otherwise the result is
-    that of a bisection that tries r = carried, then halves the bracket
-    until |balance| <= 1e-10 or the bracket is narrower than
-    1e-10 * max(1, r).
+    carrying at most 1e-10 gives r* = 0 outright. Otherwise a bisection
+    tries r = carried, then halves the bracket on the residual's sign until
+    |residual| <= 1e-10 or the bracket is narrower than 1e-10 * max(1, r).
 
-    That bisection is replayed rather than run: it evaluates the balance
-    only at midpoints inside `_uncertain_zone` and where it stops, and
-    takes the sign it knows everywhere else, so every output bit is the
-    bisection's at about a quarter of its balance evaluations.
+    It evaluates the balance only at midpoints inside `_uncertain_zone`.
+    Elsewhere the balance's sign is known, so the residual stands at -inf
+    or +inf, and is evaluated only if the bisection stops there. So every
+    output bit is a plain bisection's, at about a quarter of its evaluations.
     """
     carried = rate_mcp(config.second_lag, config.rho2)
     if carried <= _TOL:
@@ -81,19 +80,20 @@ def cf_solve(config: SystemConfig) -> CfSolution:
     r_star = carried
     rate, residual = balance(r_star)
     zone_lo, zone_hi = _uncertain_zone(balance, newton, carried, residual)
-    known = False
     # max(1.0, r_star), spelled out to save a builtin call per step.
-    while ((known or abs(residual) > _TOL)
+    while (abs(residual) > _TOL
            and hi - lo >= _TOL * (r_star if r_star > 1.0 else 1.0)):
-        if (r_star < zone_lo) if known else residual < 0.0:
+        if residual < 0.0:
             lo = r_star
         else:
             hi = r_star
         r_star = 0.5 * (lo + hi)
-        known = not zone_lo <= r_star <= zone_hi
-        if not known:
+        if zone_lo <= r_star <= zone_hi:
             rate, residual = balance(r_star)
-    if known:
+        else:
+            # The balance's sign is known here, and its size exceeds 1e-10.
+            residual = -math.inf if r_star < zone_lo else math.inf
+    if math.isinf(residual):
         rate, residual = balance(r_star)
     return CfSolution(rate=rate, r_star=r_star, residual=residual,
                       second_lag_rate=carried)

@@ -46,12 +46,14 @@ def uniform_grid(points: int) -> np.ndarray:
     return np.arange(points, dtype=np.float64) / points
 
 
-def _grid_average(values: np.ndarray, points: int) -> float:
+def _grid_average(values: np.ndarray) -> float:
+    """Mean of the samples on the grid k/n, n = values.size, by np.mean's own
+    sum and division, so the result is its bits. A non-finite sample makes
+    the sum non-finite; only then is it looked for and named by its abscissa,
+    so an +inf, -inf pair is reported here rather than warned of."""
     import numpy as np
 
-    # np.mean's own sum and division, so the result is its bits. A
-    # non-finite sample makes the sum non-finite; only then is it looked for,
-    # and an +inf, -inf pair is reported here rather than warned of.
+    points = values.size
     with np.errstate(invalid="ignore"):
         total = float(np.add.reduce(values))
     if not math.isfinite(total):
@@ -82,9 +84,9 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
     # laid out here rather than through uniform_grid's validation.
     points = 2 * quadrature.initial_points
     values = sampler(np.arange(points, dtype=np.float64) / points)
-    estimate = _grid_average(values[0::2], points // 2)
+    estimate = _grid_average(values[0::2])
     while True:
-        refined = _grid_average(values, points)
+        refined = _grid_average(values)
         if abs(refined - estimate) < quadrature.rel_tol * max(1.0, abs(refined)):
             return refined, points
         estimate = refined

@@ -262,6 +262,48 @@ class TestAfRate:
             expected = self.two_term_samples(cfg, gain, grid)
             assert _af_samples(cfg, gain, grid).tobytes() == expected.tobytes(), entry
 
+    @staticmethod
+    def mean_log_modulus(coefficients, value):
+        """Mean over theta of log|p(cos theta)|, by Jensen's formula: the log of
+        the leading coefficient plus log(|w|/2) per root z of p, with
+        w = z + sqrt(z^2 - 1) taken on the branch where |w| >= 1. Each root of
+        the expanded coefficients then takes one Newton step on `value`, p in
+        factored form, which undoes the expansion's rounding near a null of H2."""
+        coefficients = np.trim_zeros(coefficients, "f")
+        roots = np.roots(coefficients).astype(complex)
+        roots -= value(roots) / np.polyval(np.polyder(coefficients), roots)
+        radical = np.sqrt(roots * roots - 1.0)
+        w = np.maximum(np.abs(roots + radical), np.abs(roots - radical))
+        return math.log(abs(coefficients[0])) + float(np.sum(np.log(w / 2.0)))
+
+    @pytest.mark.parametrize("pool", [POINT_POOL, RATE_POOL], ids=["points", "rate_points"])
+    def test_echo_free_rate_is_jensens_formula(self, pool):
+        # At mu = 0 the per-mode rate is log2(N/D) in c = cos(theta), with
+        # D = N2 + N1*g^2*H2^2 and N = D + P*g^2*H1^2*H2^2 polynomials in c.
+        # The pools' Q >= -10 dB keeps N clear of cancelling against D.
+        groups = json.loads(pool.read_text())["pool"]
+        for entry in (entry for group in groups for entry in group):
+            cfg = dataclasses.replace(parse_config(entry["config"]), mu=0.0)
+            gain = optimal_gain(cfg).gain
+            noise, signal = cfg.noise1 * gain**2, cfg.power_p * gain**2
+            h1 = np.array([2.0 * cfg.alpha, cfg.beta])
+            h2 = np.array([2.0 * cfg.eta, cfg.gamma])
+
+            def relay(c):
+                return cfg.noise2 + noise * np.polyval(h2, c) ** 2
+
+            def received(c):
+                return relay(c) + signal * (np.polyval(h1, c) * np.polyval(h2, c)) ** 2
+
+            h2_squared = np.polymul(h2, h2)
+            relay_coefficients = np.polyadd([cfg.noise2], noise * h2_squared)
+            received_coefficients = np.polyadd(
+                relay_coefficients, signal * np.polymul(np.polymul(h1, h1), h2_squared))
+            expected = (self.mean_log_modulus(received_coefficients, received)
+                        - self.mean_log_modulus(relay_coefficients, relay)) / math.log(2.0)
+            rate = af_rate(cfg, gain)
+            assert abs(rate - expected) <= 1e-12 * max(1.0, rate), entry
+
     def test_each_sample_computed_once(self, monkeypatch):
         abscissae, grids = [], []
         samples = wynerrelay.af._af_samples

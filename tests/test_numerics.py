@@ -99,14 +99,14 @@ class TestGridAverage:
             merged[0::2] = plain[: size // 2]
             merged[1::2] = rng.standard_normal(size // 2)
             for values in (plain, merged):
-                average = _grid_average(values, size)
+                average = _grid_average(values)
                 assert float.hex(average) == float.hex(float(np.mean(values)))
             # The ladder's first call: the coarse grid is the even points of
             # one twice as fine, averaged through the strided view.
             wide = np.empty(2 * size)
             wide[0::2] = plain
             wide[1::2] = rng.standard_normal(size)
-            average = _grid_average(wide[0::2], size)
+            average = _grid_average(wide[0::2])
             assert float.hex(average) == float.hex(float(np.mean(plain)))
 
     def test_nan_at_refined_abscissa_is_named(self):
@@ -120,12 +120,12 @@ class TestGridAverage:
         values = np.zeros(16)
         values[5], values[9] = np.inf, -np.inf
         with pytest.raises(ValueError, match="f = 5/16"):
-            _grid_average(values, 16)
+            _grid_average(values)
 
     def test_finite_samples_whose_sum_overflows_average_to_inf(self):
         values = np.full(8, 1e308)
         with np.errstate(over="ignore"):
-            assert _grid_average(values, 8) == np.mean(values) == np.inf
+            assert _grid_average(values) == np.mean(values) == np.inf
 
 
 class TestNestedGrids:

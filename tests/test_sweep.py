@@ -3,6 +3,7 @@
 import collections
 import dataclasses
 import json
+import math
 
 import pytest
 
@@ -352,6 +353,42 @@ class TestSweepReuse:
         for _ in range(2):
             run_point(stock_config(), ("cf", "upper_bound"))
         assert solve_calls == {"cf_solve": 2, "waterfill": 2}
+
+
+# The model's four exact scalings, each as the power of k that multiplies a
+# field. Every rate is unchanged in exact arithmetic, and with k a power of
+# two every scaled field is exact too.
+SCALINGS = {
+    "P,N1,mu": {"power_p": 2, "noise1": 2, "mu": 1},
+    "Q,N2,mu": {"power_q": 2, "noise2": 2, "mu": -1},
+    "alpha,beta,P": {"alpha": 1, "beta": 1, "power_p": -2},
+    "gamma,eta,mu,Q": {"gamma": 1, "eta": 1, "mu": 1, "power_q": -2},
+}
+
+
+@pytest.fixture(scope="module")
+def unscaled_rates():
+    """Every 16th config of the rate pool and the preset points, each with
+    the hex of its rates."""
+    pool = [parse_config(point["config"])
+            for variants in json.loads(RATE_POOL.read_text())["pool"] for point in variants]
+    presets = [config for name in ("fig3", "fig4", "fig5") for config in figure_spec(name).configs]
+    return [(config, hex_rates(config)) for config in pool[::16] + presets]
+
+
+def hex_rates(config) -> dict:
+    return {name: float.hex(rate) for name, rate in run_point(config, SCHEME_ORDER).items()}
+
+
+class TestExactScalings:
+    @pytest.mark.parametrize("log2_k", [1, -1, 64, -64, 400, -400])
+    @pytest.mark.parametrize("scaling", SCALINGS.values(), ids=SCALINGS)
+    def test_every_rate_bit_kept(self, unscaled_rates, scaling, log2_k):
+        for config, expected in unscaled_rates:
+            scaled = dataclasses.replace(config, **{
+                field: math.ldexp(getattr(config, field), power * log2_k)
+                for field, power in scaling.items()})
+            assert hex_rates(scaled) == expected, config
 
 
 class TestEmit:
