@@ -19,22 +19,45 @@ the base stations only through a layer of relays:
 The top level exports the names above, the configuration types with
 `parse_config`, and the errors. Helpers such as `channel_response`,
 `uniform_grid` or `config_to_mapping` are imported from their modules.
+
+Importing the package loads none of its modules: each export and each
+submodule is imported on first access (PEP 562), so `wynerrelay --version`
+and `--help` start without the rate modules.
 """
 
-from .model import (ConfigError, LagGains, SystemConfig, QuadratureConfig,
-                    PACKAGE_VERSION, parse_config)
-from .numerics import ConvergenceError
-from .wyner import rate_mcp, rate_mcp_finite, upper_bound, waterfill, waterfill_finite
-from .af import af_rate, optimal_gain, relay_output_power, simulate_relay_power
-from .cf import cf_solve
-from .sweep import FIGURES, SchemeError, SweepSpec, emit, figure_spec, run_point, run_sweep
+import importlib
 
-__version__ = PACKAGE_VERSION
+__version__ = "0.1.0"
 
-__all__ = [
-    "ConfigError", "ConvergenceError", "FIGURES", "LagGains", "QuadratureConfig",
-    "SchemeError", "SweepSpec", "SystemConfig", "af_rate", "cf_solve", "emit",
-    "figure_spec", "optimal_gain", "parse_config", "rate_mcp", "rate_mcp_finite",
-    "relay_output_power", "run_point", "run_sweep", "simulate_relay_power",
-    "upper_bound", "waterfill", "waterfill_finite",
-]
+# Each exported name and the submodule that owns it.
+_EXPORTS = {
+    "ConfigError": "model", "LagGains": "model", "QuadratureConfig": "model",
+    "SystemConfig": "model", "parse_config": "model",
+    "ConvergenceError": "numerics",
+    "rate_mcp": "wyner", "rate_mcp_finite": "wyner", "upper_bound": "wyner",
+    "waterfill": "wyner", "waterfill_finite": "wyner",
+    "af_rate": "af", "optimal_gain": "af", "relay_output_power": "af",
+    "simulate_relay_power": "af",
+    "cf_solve": "cf",
+    "FIGURES": "sweep", "SchemeError": "sweep", "SweepSpec": "sweep", "emit": "sweep",
+    "figure_spec": "sweep", "run_point": "sweep", "run_sweep": "sweep",
+}
+_SUBMODULES = ("af", "cf", "cli", "model", "numerics", "sweep", "wyner")
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    # Called only for a name the package does not hold yet. An export is
+    # read from its owner on each call, not cached here, so it is always
+    # the owner's current binding; an imported submodule becomes a package
+    # attribute and is not looked up here again.
+    if name in _EXPORTS:
+        return getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    if name in _SUBMODULES:
+        return importlib.import_module(f"{__name__}.{name}")
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *__all__, *_SUBMODULES})

@@ -15,7 +15,7 @@ import math
 import numbers
 from dataclasses import dataclass, field, fields
 
-PACKAGE_VERSION = "0.1.0"
+from . import __version__ as PACKAGE_VERSION
 
 
 class ConfigError(ValueError):
@@ -37,7 +37,13 @@ def _require_finite(name: str, value, sign: str | None = None) -> float:
     if type(value) is not float and (isinstance(value, bool)
                                      or not isinstance(value, numbers.Real)):
         raise ConfigError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
+    try:
+        value = float(value)
+    except OverflowError:
+        # An integer past the double range. Its digits are not printed:
+        # str() refuses an int of more than 4300 digits.
+        raise ConfigError(f"{name} must be finite, got a value beyond the "
+                          "largest double") from None
     if not math.isfinite(value):
         raise ConfigError(f"{name} must be finite, got {value}")
     if sign is not None and (value < 0.0 or (value == 0.0 and sign == "positive")):
@@ -230,7 +236,9 @@ def load_mapping(path) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
         try:
             document = json.load(handle)
-        except json.JSONDecodeError as exc:
+        # JSONDecodeError, undecodable UTF-8 and an over-long integer
+        # literal are all ValueErrors.
+        except ValueError as exc:
             raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(document, dict):
         raise ConfigError(f"config file {path} must hold a single JSON object")

@@ -4,6 +4,7 @@ import collections
 import dataclasses
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
@@ -362,6 +363,28 @@ class TestConfigHandling:
             assert captured.out == ""
             assert "--config" in captured.err
 
+    @pytest.mark.parametrize("content", [
+        bytes(random.Random(0).randrange(128, 256) for _ in range(200)),
+        b'{"alpha": ' + b"9" * 5000 + b"}",
+    ], ids=["not_utf8", "integer_of_5000_digits"])
+    def test_unreadable_config_file_is_config_error(self, content, tmp_path, capfd):
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        assert main(["rate", "--schemes", "cf", "--config", str(path)]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"wynerrelay: error: config file {path} "
+                                       "is not valid JSON: ")
+
+    def test_integer_beyond_the_largest_double(self, tmp_path, capfd):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(stock_mapping(alpha=10 ** 400)))
+        assert main(["rate", "--schemes", "cf", "--config", str(path)]) == 1
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("wynerrelay: error: alpha must be finite, got a value "
+                                "beyond the largest double\n")
+
     def test_invalid_field_value(self, capfd):
         assert main(["rate", "--mu", "-0.4"]) == 1
         assert "mu" in capfd.readouterr().err
@@ -472,7 +495,7 @@ class TestParserReuse:
 
     def test_quadrature_flags_follow_the_library_defaults(self, monkeypatch, capfd):
         monkeypatch.setenv("COLUMNS", "80")
-        monkeypatch.setattr(cli, "DEFAULT_QUADRATURE",
+        monkeypatch.setattr(wynerrelay.model, "DEFAULT_QUADRATURE",
                             QuadratureConfig(max_points=2 ** 10, rel_tol=1e-7))
         parser = cli._build_parser.__wrapped__()
         args = parser.parse_args(["rate"])
@@ -545,26 +568,45 @@ class TestInstalledEntryPoints:
         assert result.stdout.startswith("quantity,value")
 
 
-# Run in a fresh interpreter: print whether numpy was loaded, then the exit code.
-NUMPY_PROBE = """
+# Run in a fresh interpreter: print the names in sys.modules and the exit
+# code, as JSON on the last line.
+MODULE_PROBE = """
 import sys
 {statement}
-print("numpy" in sys.modules, code)
+loaded = sorted(sys.modules)
+import json
+print(json.dumps([loaded, code]))
 """
 MAIN = "from wynerrelay.cli import main\ncode = main({argv!r})"
+# `python -m wynerrelay ARGV`, as the interpreter runs it.
+MODULE_MAIN = """import runpy
+sys.argv = ["wynerrelay", *{argv!r}]
+try:
+    runpy.run_module("wynerrelay", run_name="__main__", alter_sys=True)
+except SystemExit as exit_request:
+    code = exit_request.code or 0"""
+RATE_MODULES = {f"wynerrelay.{name}"
+                for name in ("model", "numerics", "wyner", "af", "cf", "sweep")}
+
+
+def probe_modules(statement):
+    """(modules loaded, exit code) after `statement` runs in a fresh interpreter."""
+    result = subprocess.run([sys.executable, "-c", MODULE_PROBE.format(statement=statement)],
+                            capture_output=True, text=True, env=child_environment())
+    assert result.returncode == 0, result.stderr
+    loaded, code = json.loads(result.stdout.splitlines()[-1])
+    return set(loaded), code
 
 
 def probe_numpy(statement):
     """(numpy loaded, exit code) after `statement` runs in a fresh interpreter."""
-    result = subprocess.run([sys.executable, "-c", NUMPY_PROBE.format(statement=statement)],
-                            capture_output=True, text=True, env=child_environment())
-    assert result.returncode == 0, result.stderr
-    loaded, code = result.stdout.split()[-2:]
-    return loaded == "True", int(code)
+    loaded, code = probe_modules(statement)
+    return "numpy" in loaded, code
 
 
 class TestStartup:
-    """numpy loads only where an array is sampled."""
+    """numpy loads only where an array is sampled, and the rate modules only
+    where a command evaluates a rate."""
 
     def test_package_import_skips_numpy(self):
         statement = ("import wynerrelay\n"
@@ -591,3 +633,62 @@ class TestStartup:
     def test_sampling_commands_load_numpy(self, argv, tmp_path):
         argv = [arg.format(out=tmp_path / "out.csv") for arg in argv]
         assert probe_numpy(MAIN.format(argv=argv)) == (True, 0)
+
+    @pytest.mark.parametrize("statement", [
+        MODULE_MAIN.format(argv=["--version"]),
+        MODULE_MAIN.format(argv=["--help"]),
+        "import wynerrelay\ncode = 0",
+        "from wynerrelay import cli\ncode = cli.main(['--version'])",
+    ], ids=["version", "help", "import", "import_cli"])
+    def test_start_loads_no_rate_module(self, statement):
+        loaded, code = probe_modules(statement)
+        assert code == 0
+        assert not loaded & RATE_MODULES
+
+    def test_rate_loads_every_rate_module(self, tmp_path):
+        argv = ["rate", "--schemes", "cf", "--output", str(tmp_path / "out.csv")]
+        loaded, code = probe_modules(MODULE_MAIN.format(argv=argv))
+        assert code == 0
+        assert loaded >= RATE_MODULES
+        assert (tmp_path / "out.csv").read_text().startswith("quantity,value")
+
+    def test_submodule_loads_on_first_access(self):
+        statement = ("import wynerrelay\n"
+                     "code = int(wynerrelay.wyner.channel_response.__module__ != 'wynerrelay.wyner')")
+        loaded, code = probe_modules(statement)
+        assert code == 0
+        assert loaded & RATE_MODULES == {"wynerrelay.wyner", "wynerrelay.numerics",
+                                         "wynerrelay.model"}
+
+
+class TestPackageExports:
+    """The top level resolves its exports and submodules on first access."""
+
+    def test_star_import_binds_exactly_all(self):
+        namespace = {}
+        exec("from wynerrelay import *", namespace)
+        del namespace["__builtins__"]
+        assert sorted(namespace) == sorted(wynerrelay.__all__)
+        assert len(wynerrelay.__all__) == 23
+
+    def test_dir_lists_the_exports(self):
+        listed = dir(wynerrelay)
+        assert set(wynerrelay.__all__) <= set(listed)
+        assert {"__version__", "cli", "sweep", "wyner"} <= set(listed)
+
+    def test_export_is_its_owners_object(self):
+        assert wynerrelay.run_point is wynerrelay.sweep.run_point
+        assert wynerrelay.ConfigError is wynerrelay.model.ConfigError
+
+    def test_unknown_name_names_the_module(self):
+        with pytest.raises(AttributeError, match="module 'wynerrelay' has no "
+                                                 "attribute 'no_such_name'"):
+            wynerrelay.no_such_name
+        with pytest.raises(ImportError):
+            exec("from wynerrelay import no_such_name", {})
+
+    def test_version_has_one_source(self, request):
+        assert PACKAGE_VERSION is wynerrelay.__version__
+        tomllib = pytest.importorskip("tomllib")
+        with open(request.path.parents[1] / "pyproject.toml", "rb") as handle:
+            assert tomllib.load(handle)["project"]["version"] == wynerrelay.__version__

@@ -153,6 +153,15 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="alpha"):
             parse_config(stock_mapping(alpha=math.inf))
 
+    @pytest.mark.parametrize("value", [10 ** 400, -10 ** 400, 10 ** 5000],
+                             ids=["1e400", "-1e400", "1e5000"])
+    def test_integer_beyond_the_largest_double_is_named(self, value):
+        # 10**5000 has more digits than str() formats for an int.
+        with pytest.raises(ConfigError) as excinfo:
+            parse_config(stock_mapping(alpha=value))
+        assert str(excinfo.value) == ("alpha must be finite, got a value beyond "
+                                      "the largest double")
+
     @pytest.mark.parametrize("key, value, message", [
         ("alpha", math.nan, "alpha must be finite, got nan"),
         ("noise1", 0.0, "noise1 must be positive, got 0.0"),
@@ -214,6 +223,18 @@ class TestLoadConfig:
         path = tmp_path / "broken.json"
         path.write_text("{not json")
         with pytest.raises(ConfigError):
+            load_mapping(path)
+
+    @pytest.mark.parametrize("content", [
+        b'{"alpha": \xff}',
+        b'{"alpha": ' + b"9" * 5000 + b"}",
+    ], ids=["not_utf8", "integer_of_5000_digits"])
+    def test_rejects_bytes_json_cannot_read(self, content, tmp_path):
+        # Undecodable UTF-8 and an integer literal past the interpreter's
+        # digit limit raise ValueErrors other than JSONDecodeError.
+        path = tmp_path / "config.json"
+        path.write_bytes(content)
+        with pytest.raises(ConfigError, match="is not valid JSON"):
             load_mapping(path)
 
     def test_rejects_non_object(self, tmp_path):
