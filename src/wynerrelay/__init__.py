@@ -18,7 +18,7 @@ the base stations only through a layer of relays:
 
 The top level exports the names above, the configuration types with
 `parse_config`, and the errors. Helpers such as `channel_response`,
-`uniform_grid` or `config_to_mapping` are imported from their modules.
+`ring_cosines` or `config_to_mapping` are imported from their modules.
 
 Importing the package loads none of its modules: each export and each
 submodule is imported on first access (PEP 562), so `wynerrelay --version`

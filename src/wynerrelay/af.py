@@ -17,7 +17,6 @@ from typing import TYPE_CHECKING
 from .model import (SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
                     _require_finite, _require_integer)
 from . import numerics
-from .numerics import uniform_grid
 
 if TYPE_CHECKING:
     import numpy as np
@@ -50,7 +49,11 @@ def _power_coefficients(config: SystemConfig):
 def _buildup_power(gain: float, settle_root: float, config: SystemConfig) -> float:
     """A*g^2/s + B*g^2/(s + s^2) at s = sqrt(1 - (2*mu*g)^2)."""
     direct, adjacent = _power_coefficients(config)
-    return gain ** 2 * (direct + adjacent / (1.0 + settle_root)) / settle_root
+    coefficient = direct + adjacent / (1.0 + settle_root)
+    try:
+        return gain ** 2 * coefficient / settle_root
+    except OverflowError:  # g^2 alone overflows, as with powers in units of 1e-300
+        return gain * (coefficient / settle_root * gain)
 
 
 def relay_output_power(gain, config: SystemConfig) -> float:
@@ -131,7 +134,7 @@ def optimal_gain(config: SystemConfig) -> AfGainSolution:
     return AfGainSolution(gain=gain, output_power=achieved, residual=residual)
 
 
-def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
+def _af_samples(config: SystemConfig, gain: float, c) -> np.ndarray:
     """log2(1 + SINR) of spatial subchannel f, averaged over time in closed form.
 
     With c = cos(2*pi*f), S = P*g^2*H1^2*H2^2 is the signal, N1*g^2*H2^2 the
@@ -145,7 +148,6 @@ def _af_samples(config: SystemConfig, gain: float, f) -> np.ndarray:
     """
     import numpy as np
 
-    c = np.cos(2.0 * np.pi * np.asarray(f, dtype=np.float64))
     # A gain 2^e*mantissa with e > 0 scales numerator and denominator by 2^(-2e),
     # so S cannot overflow (2^(-2e) itself would, for e << 0).
     exponent = max(math.frexp(gain)[1], 0)
@@ -173,17 +175,16 @@ def af_rate(config: SystemConfig, gain,
     gain = _check_gain(gain, config.mu)
     # Called through the module, so that a wrapper set on it sees the call.
     rate, _ = numerics.integrate_periodic_report(
-        lambda f: _af_samples(config, gain, f), quadrature)
+        lambda c: _af_samples(config, gain, c), quadrature)
     return rate
 
 
-def af_rate_finite(config: SystemConfig, gain, cells: int) -> float:
-    """Average of the same per-subchannel rate over an M-cell ring's modes."""
+def af_rate_finite(config: SystemConfig, gain, cosines) -> float:
+    """Average of the same per-subchannel rate over an M-cell ring's cosines."""
     import numpy as np
 
     gain = _check_gain(gain, config.mu)
-    cells = _require_integer("cell count", cells, 3)
-    return float(np.mean(_af_samples(config, gain, uniform_grid(cells))))
+    return float(np.mean(_af_samples(config, gain, cosines)))
 
 
 @dataclass(frozen=True)

@@ -1,17 +1,17 @@
 """Periodic quadrature shared by the rate computations.
 
-The `af_rate` and `waterfill` rates run over one period of a periodic
-integrand, where the uniform-grid trapezoid rule converges spectrally on
-smooth integrands and at second order across the kinks of waterfill's
-clamp. The grids start at min(64, max_points // 2) points and double, so
-they nest and any ceiling compares two. `integrate_periodic_report` is the
-ladder's one entry point and lays out the ladder's abscissae k/n itself
-(`uniform_grid` lays out k/n for the finite-ring cross-checks). It
-samples each abscissa once: the first two grids in one call, then each
-doubling's new points; it returns the value and the final grid size.
-The grid average over n equispaced points is also, bit for bit, the
-eigenvalue average of the corresponding n-cell circular model, which the
-finite-ring cross-checks rely on.
+Every rate of the ring is a mean over the spatial frequency f of a
+function of H(f) = local + 2*cross*cos(2*pi*f), so every integrand is
+written in c = cos(2*pi*f), which `ring_cosines` alone forms. The
+`af_rate` and `waterfill` rates run over one period, where the uniform-grid
+trapezoid rule converges spectrally on smooth integrands and at second
+order across the kinks of waterfill's clamp. The grids start at
+min(64, max_points // 2) points and double, so they nest and any ceiling
+compares two. `integrate_periodic_report` is the ladder's one entry point.
+It samples each abscissa once: the first two grids in one call, then each
+doubling's new points; it returns the value and the final grid size. The
+grid of n points is the n-cell ring's modes, so its average is, bit for
+bit, the finite-ring cross-checks' eigenvalue average.
 
 numpy is imported inside the functions that build arrays, here and in
 `wyner` and `af`, so that importing the package, and every command that
@@ -38,12 +38,17 @@ class ConvergenceError(ArithmeticError):
         self.best_estimate = best_estimate
 
 
-def uniform_grid(points: int) -> np.ndarray:
-    """Equispaced abscissae k/points for k = 0 .. points-1."""
+def ring_cosines(cells: int, start: int = 0, step: int = 1) -> np.ndarray:
+    """cos(2*pi*k/cells) for k = start, start + step, ... below cells; all k
+    give the ring's modes. (2k)/(2*cells) == k/cells in binary floating point,
+    so a ring's cosines are, bit for bit, the even-k ones of twice its size."""
     import numpy as np
 
-    points = _require_integer("grid size", points, 1)
-    return np.arange(points, dtype=np.float64) / points
+    cells = _require_integer("cell count", cells, 3)
+    # f is kept, so the product is a fresh array rather than f reused in
+    # place; with glibc's allocator that order page-faults far less.
+    f = np.arange(start, cells, step, dtype=np.float64) / cells
+    return np.cos(2.0 * np.pi * f)
 
 
 def _grid_average(values: np.ndarray) -> float:
@@ -68,22 +73,19 @@ def _grid_average(values: np.ndarray) -> float:
 def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QUADRATURE):
     """Integrate over one period; return (value, points) at convergence.
 
-    The sampler maps a float64 array of abscissae in [0, 1) to an array of
-    its shape. Grids k/n double from initial_points = min(64,
-    max_points // 2); convergence means successive estimates within
-    rel_tol * max(1, |estimate|). Only the finest grid is held. Every
-    ceiling compares the first two grids, so they are sampled in one call,
-    on the 2 * initial_points grid, whose even points are the first grid:
-    (2j)/(2n) == j/n exactly in binary floating point. Refining n to 2n
-    then samples only the n odd abscissae (2j+1)/(2n), so each abscissa is
-    sampled once.
+    The sampler maps a float64 array of cosines c = cos(2*pi*f), f in
+    [0, 1), to an array of its shape. Grids f = k/n double from
+    initial_points = min(64, max_points // 2); convergence means successive
+    estimates within rel_tol * max(1, |estimate|). Only the finest grid is
+    held. Every ceiling compares the first two grids, so they are sampled
+    in one call, on the 2 * initial_points grid, whose even points are the
+    first grid. Refining n to 2n then samples only the n odd points
+    k = 2j+1 of 2n, so each abscissa is sampled once.
     """
     import numpy as np
 
-    # initial_points was checked by QuadratureConfig, so the first grid is
-    # laid out here rather than through uniform_grid's validation.
     points = 2 * quadrature.initial_points
-    values = sampler(np.arange(points, dtype=np.float64) / points)
+    values = sampler(ring_cosines(points))
     estimate = _grid_average(values[0::2])
     while True:
         refined = _grid_average(values)
@@ -94,10 +96,8 @@ def integrate_periodic_report(sampler, quadrature: QuadratureConfig = DEFAULT_QU
             raise ConvergenceError(
                 f"quadrature did not settle within {quadrature.max_points} points",
                 best_estimate=estimate)
-        # Sampled before the merged grid exists, so that the sampler's
-        # temporaries and the merged array are never alive together.
-        odd = sampler(np.arange(1, 2 * points, 2, dtype=np.float64) / (2 * points))
-        merged = np.empty(2 * points)
-        merged[0::2] = values
-        merged[1::2] = odd
-        values, points = merged, 2 * points
+        # The odd points are sampled before the merged grid exists, and no
+        # name keeps the sampler's arrays alive into the next doubling.
+        values = np.stack((values, sampler(ring_cosines(2 * points, 1, 2))),
+                          axis=1).ravel()
+        points *= 2

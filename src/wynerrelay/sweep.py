@@ -22,7 +22,7 @@ from .model import (ConfigError, SystemConfig, QuadratureConfig,
                     DEFAULT_QUADRATURE, DEFAULT_CONFIG_MAPPING, PACKAGE_VERSION,
                     config_to_mapping, db_to_linear, parse_config,
                     _require_finite, _require_integer)
-from .numerics import ConvergenceError
+from .numerics import ConvergenceError, ring_cosines
 from .wyner import rate_mcp_finite, upper_bound, waterfill_finite
 
 AXES = ("mu", "power_p", "power_q", "rho1_db", "rho2_db")
@@ -70,7 +70,7 @@ def _cf(config: SystemConfig, quadrature: QuadratureConfig, solved):
 
     def oracle(seed):
         quantized = quantized_snr(config.rho1, solution.r_star)
-        finite = rate_mcp_finite(config.first_lag, quantized, ORACLE_RING)
+        finite = rate_mcp_finite(config.first_lag, quantized, ring_cosines(ORACLE_RING))
         return _against("cf", finite, solution.rate)
     return solution.rate, notes, oracle
 
@@ -81,7 +81,7 @@ def _af(config: SystemConfig, quadrature: QuadratureConfig, solved):
     notes = {"af_gain": gain.gain, "af_power_residual": gain.residual}
 
     def oracle(seed):
-        finite = af_rate_finite(config, gain.gain, ORACLE_RING)
+        finite = af_rate_finite(config, gain.gain, ring_cosines(ORACLE_RING))
         simulated = simulate_relay_power(config, gain.gain, seed=seed)
         return {**_against("af", finite, rate),
                 "af_sim_power": simulated.mean_power,
@@ -96,7 +96,8 @@ def _af_mu0(config: SystemConfig, quadrature: QuadratureConfig, solved):
     rate = af_rate(quiet, gain.gain, quadrature)
 
     def oracle(seed):
-        return _against("af_mu0", af_rate_finite(quiet, gain.gain, ORACLE_RING), rate)
+        finite = af_rate_finite(quiet, gain.gain, ring_cosines(ORACLE_RING))
+        return _against("af_mu0", finite, rate)
     return rate, {"af_mu0_gain": gain.gain}, oracle
 
 
@@ -108,8 +109,9 @@ def _upper_bound(config: SystemConfig, quadrature: QuadratureConfig, solved):
     notes = {"upper_bound_power_residual": fill.spent_power - config.rho2}
 
     def oracle(seed):
-        finite = min(rate_mcp_finite(config.first_lag, config.rho1, ORACLE_RING),
-                     waterfill_finite(config.second_lag, config.rho2, ORACLE_RING))
+        modes = ring_cosines(ORACLE_RING)
+        finite = min(rate_mcp_finite(config.first_lag, config.rho1, modes),
+                     waterfill_finite(config.second_lag, config.rho2, modes))
         return _against("upper_bound", finite, bound)
     return bound, notes, oracle
 

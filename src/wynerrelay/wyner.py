@@ -10,7 +10,8 @@ power. Its water level is closed form: H is monotone on each half period,
 so the level wets at most two arcs, whose ends and integrals of 1/H^2 are
 elementary. Its rate is integrated by the periodic quadrature. Finite
 rings of M cells have a circulant channel matrix whose eigenvalues are
-H(m/M), which gives an exact cross-check oracle for the integrals.
+H(m/M), which gives an exact cross-check oracle for the integrals. Arrays
+of H's argument are taken as c = cos(2*pi*f), from `ring_cosines`.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ import math
 from dataclasses import dataclass
 
 from .model import (LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
-                    _require_finite, _require_integer)
-from .numerics import integrate_periodic_report, uniform_grid
+                    _require_finite)
+from .numerics import integrate_periodic_report
 
 _LN2 = math.log(2.0)
 
@@ -30,12 +31,9 @@ _LN2 = math.log(2.0)
 _POLE_GUARD = 1e-150
 
 
-def channel_response(lag: LagGains, f):
-    """H(f) = local + 2*cross*cos(2*pi*f); sign is irrelevant downstream."""
-    import numpy as np
-
-    f = np.asarray(f, dtype=np.float64)
-    return lag.local + 2.0 * lag.cross * np.cos(2.0 * np.pi * f)
+def channel_response(lag: LagGains, cosine):
+    """H = local + 2*cross*c at c = cos(2*pi*f); sign is irrelevant downstream."""
+    return lag.local + 2.0 * lag.cross * cosine
 
 
 def rate_mcp(lag: LagGains, rho) -> float:
@@ -85,8 +83,8 @@ def rate_mcp_slope(lag: LagGains, rho) -> float:
     return (excess / (root * (root + 1.0))).real / (rho * _LN2)
 
 
-def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
-    """Exact per-cell sum-rate of the M-cell ring.
+def rate_mcp_finite(lag: LagGains, rho, cosines) -> float:
+    """Exact per-cell sum-rate of the M-cell ring, given `ring_cosines(M)`.
 
     The M-cell circular channel matrix is circulant with eigenvalues
     H(m/M), so the rate is the plain average of log2(1 + rho*H(m/M)^2).
@@ -94,8 +92,7 @@ def rate_mcp_finite(lag: LagGains, rho, cells: int) -> float:
     import numpy as np
 
     rho = _require_finite("SNR", rho, "nonnegative")
-    cells = _require_integer("cell count", cells, 3)
-    gains = np.square(channel_response(lag, uniform_grid(cells)))
+    gains = np.square(channel_response(lag, cosines))
     return float(np.mean(np.log1p(rho * gains) / _LN2))
 
 
@@ -201,9 +198,9 @@ def waterfill(lag: LagGains, rho,
         return WaterfillSolution(level=0.0, rate=0.0, spent_power=0.0)
     level, spent = _water_level(lag, rho)
 
-    def rate_values(f):
+    def rate_values(cosines):
         # log2(1 + (level*H^2 - 1)+), in one buffer.
-        gain = np.square(channel_response(lag, f))
+        gain = np.square(channel_response(lag, cosines))
         gain *= level
         gain -= 1.0
         np.log1p(np.maximum(gain, 0.0, out=gain), out=gain)
@@ -214,8 +211,8 @@ def waterfill(lag: LagGains, rho,
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
 
 
-def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
-    """Exact waterfilled per-cell sum-rate of the M-cell ring.
+def waterfill_finite(lag: LagGains, rho, cosines) -> float:
+    """Exact waterfilled per-cell sum-rate of the M-cell ring, given its cosines.
 
     Sort-and-fill over the ring's modes H(m/M): the water level spends
     M*rho on the modes whose floor 1/H^2 lies below it, and modes with
@@ -225,18 +222,17 @@ def waterfill_finite(lag: LagGains, rho, cells: int) -> float:
     import numpy as np
 
     rho = _require_finite("SNR", rho, "nonnegative")
-    cells = _require_integer("cell count", cells, 3)
-    response = channel_response(lag, uniform_grid(cells))
+    response = channel_response(lag, cosines)
     # Modes below the pole guard get no power; the rest have floors 1/H^2 <= 1e300.
     floors = np.sort(1.0 / np.square(response[np.abs(response) >= _POLE_GUARD]))
     if rho == 0.0 or floors.size == 0:
         return 0.0
-    levels = (cells * rho + np.cumsum(floors)) / np.arange(1, floors.size + 1)
+    levels = (cosines.size * rho + np.cumsum(floors)) / np.arange(1, floors.size + 1)
     # The level with k modes wet stays above the k-th floor exactly up to
     # the last mode the final level reaches.
     active = floors[levels > floors]
     level = levels[active.size - 1]
-    return float(np.sum(np.log1p((level - active) / active)) / (cells * _LN2))
+    return float(np.sum(np.log1p((level - active) / active)) / (cosines.size * _LN2))
 
 
 def upper_bound(config: SystemConfig, fill: WaterfillSolution | None = None) -> float:

@@ -23,6 +23,16 @@ RATE_POOL = REFERENCE / "rate_points.json"
 # The recorded `figure fig3` CSV, which the CLI and the library must both match.
 FIG3_GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"
 
+# The model's four exact scalings, each as the power of k that multiplies a
+# field. Every rate is unchanged in exact arithmetic, and with k a power of
+# two every scaled field is exact too.
+SCALINGS = {
+    "P,N1,mu": {"power_p": 2, "noise1": 2, "mu": 1},
+    "Q,N2,mu": {"power_q": 2, "noise2": 2, "mu": -1},
+    "alpha,beta,P": {"alpha": 1, "beta": 1, "power_p": -2},
+    "gamma,eta,mu,Q": {"gamma": 1, "eta": 1, "mu": 1, "power_q": -2},
+}
+
 
 def stock_mapping(**overrides) -> dict:
     """A fresh copy of the stock all-linear mapping, with `overrides` set."""

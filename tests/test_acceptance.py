@@ -25,6 +25,7 @@ from wynerrelay import (
     waterfill,
 )
 from wynerrelay.cli import main
+from wynerrelay.numerics import ring_cosines
 
 from stock import stock_config
 
@@ -69,10 +70,10 @@ def test_criterion_02_circulant_oracle_convergence():
     for cross in (0.2, 0.5, 0.9):
         lag = LagGains(local=1.0, cross=cross)
         for rho in (1.0, 10.0, 100.0):
-            delta = abs(rate_mcp(lag, rho) - rate_mcp_finite(lag, rho, 2**14))
+            delta = abs(rate_mcp(lag, rho) - rate_mcp_finite(lag, rho, ring_cosines(2**14)))
             worst = max(worst, delta)
     lag = LagGains(local=1.0, cross=0.2)
-    identity_gap = abs(rate_mcp(lag, 10.0) - rate_mcp_finite(lag, 10.0, 4096))
+    identity_gap = abs(rate_mcp(lag, 10.0) - rate_mcp_finite(lag, 10.0, ring_cosines(4096)))
     print(f"criterion 2: worst finite-ring delta={worst:.3e} identity gap={identity_gap:.3e}")
     assert worst <= 1e-8
     assert identity_gap <= 1e-13

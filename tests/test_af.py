@@ -20,7 +20,7 @@ from wynerrelay import (
 )
 from wynerrelay.af import AfGainSolution, _af_samples, _gain_root, af_rate_finite
 from wynerrelay.model import db_to_linear
-from wynerrelay.numerics import uniform_grid
+from wynerrelay.numerics import ring_cosines
 
 from stock import POINT_POOL, RATE_POOL, stock_config
 
@@ -162,7 +162,8 @@ class TestAfRate:
     def test_matches_finite_ring(self):
         cfg = stock_config()
         gain = optimal_gain(cfg).gain
-        assert af_rate(cfg, gain) == pytest.approx(af_rate_finite(cfg, gain, 4096), abs=1e-9)
+        finite = af_rate_finite(cfg, gain, ring_cosines(4096))
+        assert af_rate(cfg, gain) == pytest.approx(finite, abs=1e-9)
 
     def test_matches_space_time_average(self):
         # af_rate integrates the relay echo's time dimension in closed form.
@@ -174,9 +175,8 @@ class TestAfRate:
         spec = figure_spec("fig3")
         cfg = dataclasses.replace(spec.base, mu=spec.stop)
         gain = optimal_gain(cfg).gain
-        theta = 2.0 * np.pi * uniform_grid(256)[:, np.newaxis]
-        omega = 2.0 * np.pi * uniform_grid(2048)[np.newaxis, :]
-        c = np.cos(theta)
+        c = ring_cosines(256)[:, np.newaxis]
+        omega = 2.0 * np.pi * (np.arange(2048) / 2048)[np.newaxis, :]
         first = cfg.beta + 2.0 * cfg.alpha * c
         second = cfg.gamma + 2.0 * cfg.eta * c
         echo = np.abs(1.0 - 2.0 * cfg.mu * gain * c * np.exp(-1j * omega)) ** 2
@@ -206,7 +206,7 @@ class TestAfRate:
         # is exactly m >= 0 and p >= 0: both roots stay real across the band.
         cfg = stock_config()
         g = optimal_gain(cfg).gain
-        c = np.cos(2.0 * np.pi * uniform_grid(4096))
+        c = ring_cosines(4096)
         h2 = cfg.gamma + 2.0 * cfg.eta * c
         b_term = cfg.noise1 * g * g * h2 * h2 + cfg.noise2 * (1.0 + 4.0 * g * g * cfg.mu * cfg.mu * c * c)
         c_term = 4.0 * cfg.noise2 * g * cfg.mu * c
@@ -231,9 +231,8 @@ class TestAfRate:
             assert af_rate(cfg, optimal_gain(cfg).gain).hex() == expected, (name, index)
 
     @staticmethod
-    def two_term_samples(cfg, gain, f):
+    def two_term_samples(cfg, gain, c):
         """The closed-ratio integrand with both noise terms, one array per step."""
-        c = np.cos(2.0 * np.pi * f)
         first = cfg.beta + 2.0 * cfg.alpha * c
         second = cfg.gamma + 2.0 * cfg.eta * c
         echo = 2.0 * gain * cfg.mu * c
@@ -252,7 +251,7 @@ class TestAfRate:
     def test_samples_are_the_two_term_formula_bit_for_bit(self, pool, echo):
         # At mu = 0 `_af_samples` takes its echo-free branch; with mu as
         # drawn, the two-term ratio that this formula also writes.
-        grid = uniform_grid(128)
+        grid = ring_cosines(128)
         groups = json.loads(pool.read_text())["pool"]
         for entry in (entry for group in groups for entry in group):
             cfg = parse_config(entry["config"])
@@ -305,13 +304,13 @@ class TestAfRate:
             assert abs(rate - expected) <= 1e-12 * max(1.0, rate), entry
 
     def test_each_sample_computed_once(self, monkeypatch):
-        abscissae, grids = [], []
+        cosines, grids = [], []
         samples = wynerrelay.af._af_samples
         report = wynerrelay.numerics.integrate_periodic_report
 
-        def counting_samples(config, gain, f):
-            abscissae.append(np.array(f, dtype=np.float64, ndmin=1))
-            return samples(config, gain, f)
+        def counting_samples(config, gain, c):
+            cosines.append(np.array(c, dtype=np.float64, ndmin=1))
+            return samples(config, gain, c)
 
         def reporting(values, quadrature):
             value, points = report(values, quadrature)
@@ -324,8 +323,8 @@ class TestAfRate:
         af_rate(cfg, optimal_gain(cfg).gain)
         (final_points,) = grids
         assert final_points > QuadratureConfig().initial_points
-        np.testing.assert_array_equal(np.sort(np.concatenate(abscissae)),
-                                      uniform_grid(final_points))
+        assert (np.sort(np.concatenate(cosines)).tobytes()
+                == np.sort(ring_cosines(final_points)).tobytes())
 
 
 class TestAfLimits:

@@ -190,6 +190,17 @@ class TestRateCommand:
         assert captured.out == ""
         assert captured.err.startswith("wynerrelay: error: af: relay gain is not finite")
 
+    def test_af_where_the_squared_gain_overflows(self, capfd):
+        # The stock point at mu = 0 in units 1e300 times smaller for the
+        # uplink: the gain is 1e150 times the stock one, and g^2 overflows
+        # while the relay power does not. af keeps the stock point's value.
+        assert main(["rate", "--P-dB", "0", "--Q-dB", "100", "--mu", "0",
+                     "--schemes", "af"]) == 0
+        stock = capfd.readouterr().out
+        assert main(["rate", "--noise1", "1e-300", "--P-dB", "-3000", "--Q-dB", "100",
+                     "--mu", "0", "--schemes", "af"]) == 0
+        assert capfd.readouterr().out == stock == "quantity,value\naf,1.00172720851\n"
+
     def test_upper_bound_at_extreme_relay_snr(self, capfd):
         # The waterfilled second hop's level is near 1e307 here; the first
         # hop caps the bound.

@@ -19,7 +19,7 @@ from wynerrelay import (
     waterfill,
 )
 from wynerrelay.model import config_to_mapping, db_to_linear, load_mapping
-from wynerrelay.numerics import uniform_grid
+from wynerrelay.numerics import ring_cosines
 
 from stock import stock_mapping
 
@@ -245,16 +245,18 @@ class TestLoadConfig:
 
 
 # Every number a caller hands the library is checked by the same two
-# validators, whichever public entry point it reaches first.
+# validators, whichever public entry point it reaches first. The ring
+# oracles take a ring's cosines, so a finite ring's cell count is checked
+# where `ring_cosines` forms them.
 LAG = LagGains(local=1.0, cross=0.2)
 ENTRY_POINTS = {
     "rate_mcp": lambda value: rate_mcp(LAG, value),
     "waterfill": lambda value: waterfill(LAG, value).rate,
     "af_rate": lambda value: af_rate(parse_config(stock_mapping()), value),
-    "rate_mcp_finite": lambda value: rate_mcp_finite(LAG, 10.0, value),
+    "rate_mcp_finite": lambda value: rate_mcp_finite(LAG, 10.0, ring_cosines(value)),
     "SweepSpec": lambda value: SweepSpec(axis="mu", start=0.0, stop=0.5, points=value,
                                          base=parse_config(stock_mapping())),
-    "uniform_grid": uniform_grid,
+    "ring_cosines": ring_cosines,
     "simulate_relay_power": lambda value: simulate_relay_power(
         parse_config(stock_mapping()), 1.0, symbols=value, seed=1234),
 }
@@ -287,9 +289,9 @@ REFUSALS = [
     ("SweepSpec", math.nan, "points must be an integer, got nan"),
     ("SweepSpec", -3, "points must be at least 2, got -3"),
     ("SweepSpec", 0, "points must be at least 2, got 0"),
-    ("uniform_grid", 2.5, "grid size must be an integer, got 2.5"),
-    ("uniform_grid", True, "grid size must be an integer, got True"),
-    ("uniform_grid", 0, "grid size must be at least 1, got 0"),
+    ("ring_cosines", 2.5, "cell count must be an integer, got 2.5"),
+    ("ring_cosines", True, "cell count must be an integer, got True"),
+    ("ring_cosines", 0, "cell count must be at least 3, got 0"),
     ("simulate_relay_power", True, "symbol count must be an integer, got True"),
     ("simulate_relay_power", 100.7, "symbol count must be an integer, got 100.7"),
     ("simulate_relay_power", 0, "symbol count must be at least 1, got 0"),

@@ -7,51 +7,68 @@ import numpy as np
 import pytest
 
 from wynerrelay import ConvergenceError, QuadratureConfig
-from wynerrelay.numerics import _grid_average, integrate_periodic_report, uniform_grid
+from wynerrelay.numerics import _grid_average, integrate_periodic_report, ring_cosines
 
 from stock import TIGHT
 
 
+def cosines_of(k, n):
+    """The cosines of f = k/n, formed as the library forms them."""
+    return np.cos(2.0 * np.pi * (np.asarray(k, dtype=np.float64) / n))
+
+
 class TestUniformGrid:
+    """The uniform grid f = k/n, which every sampler sees as c = cos(2*pi*f)."""
+
     def test_values(self):
-        grid = uniform_grid(8)
+        grid = ring_cosines(8)
         assert grid.shape == (8,)
-        assert grid[0] == 0.0
-        assert np.all(grid == np.arange(8) / 8.0)
+        assert grid[0] == 1.0
+        assert grid.tobytes() == cosines_of(np.arange(8), 8).tobytes()
+        assert ring_cosines(16, 1, 2).tobytes() == cosines_of(np.arange(1, 16, 2), 16).tobytes()
 
     def test_half_grid_nesting(self):
-        # Every other node of a doubled grid is the coarse grid, bitwise.
-        assert np.all(uniform_grid(256)[::2] == uniform_grid(128))
+        # (2k)/(2n) == k/n, so every other cosine of a ring twice the size
+        # is the smaller ring's, bitwise.
+        for cells in (3, 5, 64, 128, 4096):
+            assert ring_cosines(2 * cells)[::2].tobytes() == ring_cosines(cells).tobytes()
 
 
 class TestIntegratePeriodic:
     def test_constant_is_exact(self):
-        assert integrate_periodic_report(lambda x: np.full_like(x, 3.5), TIGHT)[0] == 3.5
+        assert integrate_periodic_report(lambda c: np.full_like(c, 3.5), TIGHT)[0] == 3.5
 
     def test_full_period_cosine_vanishes(self):
-        value = integrate_periodic_report(lambda x: np.cos(2 * np.pi * x), TIGHT)[0]
+        value = integrate_periodic_report(np.positive, TIGHT)[0]
         assert abs(value) <= 1e-14
 
     def test_cosine_squared(self):
         # Trapezoid rule on a uniform grid integrates cos^2 exactly
         # once the grid resolves the second harmonic.
-        value = integrate_periodic_report(lambda x: np.cos(2 * np.pi * x) ** 2, TIGHT)[0]
+        value = integrate_periodic_report(np.square, TIGHT)[0]
         assert value == pytest.approx(0.5, abs=1e-15)
 
-    def test_shift_invariance(self):
-        def integrand(shift):
-            return lambda x: np.log1p(10.0 * (1.0 + 0.4 * np.cos(2 * np.pi * (x + shift))) ** 2)
-
-        base = integrate_periodic_report(integrand(0.0), TIGHT)[0]
-        shifted = integrate_periodic_report(integrand(0.3), TIGHT)[0]
-        assert shifted == pytest.approx(base, rel=1e-11)
-
     def test_report_matches_final_grid_average(self):
-        def integrand(x):
-            return np.log2(1.0 + 10.0 * (1.0 + 0.4 * np.cos(2 * np.pi * x)) ** 2)
+        def integrand(c):
+            return np.log2(1.0 + 10.0 * (1.0 + 0.4 * c) ** 2)
 
         value, points = integrate_periodic_report(integrand, TIGHT)
-        assert value == np.mean(integrand(uniform_grid(points)))
+        assert value == np.mean(integrand(ring_cosines(points)))
+
+    def test_each_sampler_call_receives_its_layouts_cosines(self):
+        # The first call gets the 2 * initial_points grid, each doubling to
+        # 2n points the odd k of 2n, all formed as cos(2*pi*(k/n)).
+        received = []
+
+        def sampler(c):
+            received.append(c.copy())
+            return np.abs(c)
+
+        with pytest.raises(ConvergenceError):
+            integrate_periodic_report(sampler, QuadratureConfig(max_points=1024, rel_tol=1e-15))
+        expected = [cosines_of(np.arange(128), 128)]
+        expected += [cosines_of(np.arange(1, n, 2), n) for n in (256, 512, 1024)]
+        assert [c.tobytes() for c in received] == [c.tobytes() for c in expected]
 
     def test_doubling_starts_at_min_64_and_max_points(self):
         sizes = []
@@ -72,7 +89,7 @@ class TestIntegratePeriodic:
         # that max_points allows, 8 and 16 points, cannot meet the tolerance.
         quad = QuadratureConfig(max_points=16, rel_tol=1e-10)
         with pytest.raises(ConvergenceError) as excinfo:
-            integrate_periodic_report(lambda x: np.abs(np.cos(2 * np.pi * x)), quad)
+            integrate_periodic_report(np.abs, quad)
         assert math.isfinite(excinfo.value.best_estimate)
         assert excinfo.value.best_estimate == pytest.approx(2.0 / math.pi, abs=0.05)
         assert str(excinfo.value) == (
@@ -80,9 +97,10 @@ class TestIntegratePeriodic:
             f"best estimate {excinfo.value.best_estimate!r}")
 
     def test_non_finite_sample_names_abscissa(self):
-        def integrand(x):
+        def integrand(c):
+            # c = 1 only at f = 0.
             with np.errstate(divide="ignore"):
-                return 1.0 / x
+                return 1.0 / (1.0 - c)
 
         with pytest.raises(ValueError, match="f = 0"):
             integrate_periodic_report(integrand, TIGHT)
@@ -110,8 +128,10 @@ class TestGridAverage:
             assert float.hex(average) == float.hex(float(np.mean(plain)))
 
     def test_nan_at_refined_abscissa_is_named(self):
-        def integrand(f):
-            return np.where(f == 3 / 128, np.nan, np.cos(2 * np.pi * f))
+        def integrand(c):
+            # cos(2*pi*3/128) is sampled at k = 3 of 128, and perhaps again
+            # at k = 125; the message names the first.
+            return np.where(c == ring_cosines(128)[3], np.nan, c)
 
         with pytest.raises(ValueError, match=r"f = 3/128 = 0\.0234375$"):
             integrate_periodic_report(integrand, TIGHT)
@@ -130,36 +150,38 @@ class TestGridAverage:
 
 class TestNestedGrids:
     def test_each_abscissa_sampled_once_and_every_grid_exact(self):
-        # The kink at x = 1/4 keeps the ladder climbing to max_points.
-        def values(f):
-            return np.abs(np.cos(2 * np.pi * f))
-
+        # The kink at f = 1/4 keeps the ladder climbing to max_points.
         seen = []
 
-        def sampler(f):
-            seen.append(f.copy())
-            return values(f)
+        def sampler(c):
+            seen.append(c.copy())
+            return np.abs(c)
 
         finest = 2**10
         quad = QuadratureConfig(max_points=finest)
         with pytest.raises(ConvergenceError) as excinfo:
             integrate_periodic_report(sampler, quad)
-        assert excinfo.value.best_estimate == np.mean(values(uniform_grid(finest)))
+        assert excinfo.value.best_estimate == np.mean(np.abs(ring_cosines(finest)))
+        # The sampled cosines, as a multiset, are the finest ring's, bitwise.
         sampled = np.concatenate(seen)
         assert sampled.size == finest
-        np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))
+        assert np.sort(sampled).tobytes() == np.sort(ring_cosines(finest)).tobytes()
 
     def test_doubling_allocates_at_most_four_old_grids(self):
         # The old grid, the new odd samples and the merged grid of twice the
-        # size; the sampler's abscissae and temporaries are gone before the
-        # merged grid exists. Allocating it first would make five. The
-        # sawtooth's grid averages 1/2 - 1/(2n) never settle, so the ladder
-        # climbs to max_points and its last doubling starts from `size`.
+        # size; the sampler's cosines and temporaries are gone before the
+        # merged grid exists. Allocating it first would make five. A spike
+        # at f = 0 alone, where c = 1, has grid averages 1/n that never
+        # settle, so the ladder climbs to max_points and its last doubling
+        # starts from `size`.
+        def spike(c):
+            return np.where(c == 1.0, 1.0, 0.0)
+
         size = 2**16
         tracemalloc.start()
         try:
             with pytest.raises(ConvergenceError):
-                integrate_periodic_report(np.positive, QuadratureConfig(max_points=2 * size))
+                integrate_periodic_report(spike, QuadratureConfig(max_points=2 * size))
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()

@@ -1,15 +1,18 @@
 """Property tests over the configuration space that validation accepts."""
 
+import json
 import math
 from dataclasses import replace
 
 import pytest
 
-from wynerrelay import (LagGains, SystemConfig, cf_solve, optimal_gain, rate_mcp,
-                        run_point, waterfill)
+from wynerrelay import (LagGains, SystemConfig, cf_solve, figure_spec, optimal_gain,
+                        parse_config, rate_mcp, run_point, waterfill)
 from wynerrelay.model import DEFAULT_QUADRATURE, db_to_linear
 from wynerrelay.sweep import SCHEME_ORDER
 from wynerrelay.wyner import _water_level
+
+from stock import POINT_POOL, RATE_POOL, SCALINGS
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -85,3 +88,24 @@ def test_water_level_spends_budget_on_second_hops_with_nulls(gamma, eta_share, q
     rho = db_to_linear(q_db)
     _, spent = _water_level(lag, rho)
     assert abs(spent - rho) <= 1e-13 * rho
+
+
+# Both benchmark pools' configs and the preset points.
+POOLED_CONFIGS = [parse_config(point["config"]) for pool in (POINT_POOL, RATE_POOL)
+                  for variants in json.loads(pool.read_text())["pool"] for point in variants]
+POOLED_CONFIGS += [config for name in ("fig3", "fig4", "fig5")
+                   for config in figure_spec(name).configs]
+
+
+@hypothesis.settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@hypothesis.given(config=st.sampled_from(POOLED_CONFIGS),
+                  scaling=st.sampled_from(list(SCALINGS.values())),
+                  log2_k=st.integers(min_value=-400, max_value=400))
+def test_exact_scalings_keep_every_rate_bit(config, scaling, log2_k):
+    # Each of the model's exact scalings by k = 2^log2_k scales every field
+    # it touches exactly, so no rate may move by a bit.
+    scaled = replace(config, **{field: math.ldexp(getattr(config, field), power * log2_k)
+                                for field, power in scaling.items()})
+    expected = {name: rate.hex() for name, rate in run_point(config, SCHEME_ORDER).items()}
+    got = {name: rate.hex() for name, rate in run_point(scaled, SCHEME_ORDER).items()}
+    assert got == expected

@@ -24,7 +24,7 @@ from wynerrelay import (
 from wynerrelay.model import db_to_linear
 from wynerrelay.sweep import SCHEME_ORDER, canonical_schemes
 
-from stock import FIG3_GOLDEN, RATE_POOL, stock_config
+from stock import FIG3_GOLDEN, RATE_POOL, SCALINGS, stock_config
 
 
 def small_spec(**overrides):
@@ -353,17 +353,6 @@ class TestSweepReuse:
         for _ in range(2):
             run_point(stock_config(), ("cf", "upper_bound"))
         assert solve_calls == {"cf_solve": 2, "waterfill": 2}
-
-
-# The model's four exact scalings, each as the power of k that multiplies a
-# field. Every rate is unchanged in exact arithmetic, and with k a power of
-# two every scaled field is exact too.
-SCALINGS = {
-    "P,N1,mu": {"power_p": 2, "noise1": 2, "mu": 1},
-    "Q,N2,mu": {"power_q": 2, "noise2": 2, "mu": -1},
-    "alpha,beta,P": {"alpha": 1, "beta": 1, "power_p": -2},
-    "gamma,eta,mu,Q": {"gamma": 1, "eta": 1, "mu": 1, "power_q": -2},
-}
 
 
 @pytest.fixture(scope="module")

@@ -15,7 +15,7 @@ from wynerrelay import (
     waterfill,
     waterfill_finite,
 )
-from wynerrelay.numerics import integrate_periodic_report, uniform_grid
+from wynerrelay.numerics import integrate_periodic_report, ring_cosines
 from wynerrelay.wyner import channel_response
 
 from stock import TIGHT, stock_config
@@ -28,7 +28,7 @@ ORACLE_WATERFILL_LEVEL = 101.29891601330945
 
 def discrete_waterfill(lag, rho, samples=2**20):
     """Sort-and-fill waterfilling over a finite subchannel grid."""
-    gains = channel_response(lag, uniform_grid(samples)) ** 2
+    gains = channel_response(lag, ring_cosines(samples)) ** 2
     floors = np.sort(1.0 / gains)
     counts = np.arange(1, samples + 1)
     # Each subchannel carries measure 1/samples, so the power budget on
@@ -46,14 +46,19 @@ class TestChannelResponse:
         assert channel_response(LagGains(local=1.0, cross=0.0), 0.37) == 1.0
 
     def test_peak_at_zero_frequency(self):
-        assert channel_response(LagGains(local=1.0, cross=0.2), 0.0) == pytest.approx(1.4, abs=1e-15)
+        # f = 0 is c = 1.
+        peak = channel_response(LagGains(local=1.0, cross=0.2), 1.0)
+        assert peak == pytest.approx(1.4, abs=1e-15)
 
     def test_band_edge_null(self):
-        assert channel_response(LagGains(local=1.0, cross=0.5), 0.5) == 0.0
+        # f = 1/2 is c = -1, where H = local - 2*cross: a null at local = 2*cross.
+        assert channel_response(LagGains(local=1.0, cross=0.5), -1.0) == 0.0
+        for local, cross in ((1.0, 0.2), (0.3, 1.5), (2.0, 0.0), (1e150, 3e149)):
+            assert channel_response(LagGains(local, cross), -1.0) == local - 2.0 * cross
 
     def test_vector_evaluation(self):
         lag = LagGains(local=1.0, cross=0.2)
-        grid = uniform_grid(16)
+        grid = ring_cosines(16)
         values = channel_response(lag, grid)
         assert values.shape == (16,)
         assert values[0] == pytest.approx(1.4, abs=1e-15)
@@ -69,7 +74,8 @@ class TestRateMcp:
 
     def test_matches_finite_ring(self):
         lag = LagGains(local=1.0, cross=0.2)
-        assert rate_mcp(lag, 10.0) == pytest.approx(rate_mcp_finite(lag, 10.0, 4096), abs=1e-9)
+        finite = rate_mcp_finite(lag, 10.0, ring_cosines(4096))
+        assert rate_mcp(lag, 10.0) == pytest.approx(finite, abs=1e-9)
 
     def test_strictly_increasing_in_snr(self):
         lag = LagGains(local=1.0, cross=0.2)
@@ -85,8 +91,8 @@ class TestRateMcp:
         # squaring must leave the integral unchanged.
         lag = LagGains(local=1.0, cross=0.2)
 
-        def negated(x):
-            response = -1.0 + 0.4 * np.cos(2.0 * np.pi * x)
+        def negated(c):
+            response = -1.0 + 0.4 * c
             return np.log1p(10.0 * response**2) / math.log(2.0)
 
         assert integrate_periodic_report(negated, TIGHT)[0] == pytest.approx(
@@ -99,7 +105,7 @@ class TestRateMcp:
                 lag = LagGains(local=a, cross=b)
                 for rho in np.logspace(-6.0, 8.0, 15):
                     reference, _ = integrate_periodic_report(
-                        lambda f: np.log1p(rho * channel_response(lag, f) ** 2)
+                        lambda c: np.log1p(rho * channel_response(lag, c) ** 2)
                         / math.log(2.0), TIGHT)
                     assert rate_mcp(lag, rho) == pytest.approx(
                         reference, rel=1e-13, abs=0.0), (a, b, rho)
@@ -143,7 +149,7 @@ class TestRateMcpSlope:
     @pytest.mark.parametrize("gains, rhos", CASES, ids=[str(g) for g, _ in CASES])
     def test_matches_grid_average(self, gains, rhos):
         lag = LagGains(*gains)
-        gain = channel_response(lag, uniform_grid(2 ** 16)) ** 2
+        gain = channel_response(lag, ring_cosines(2 ** 16)) ** 2
         for rho in rhos:
             expected = np.mean(gain / ((1.0 + rho * gain) * math.log(2.0)))
             assert wynerrelay.wyner.rate_mcp_slope(lag, rho) == pytest.approx(
@@ -156,38 +162,40 @@ class TestRateMcpSlope:
 
 class TestRateMcpFinite:
     def test_flat_ring(self):
-        rate = rate_mcp_finite(LagGains(local=1.0, cross=0.0), 10.0, 7)
+        rate = rate_mcp_finite(LagGains(local=1.0, cross=0.0), 10.0, ring_cosines(7))
         assert rate == pytest.approx(math.log2(11.0), rel=1e-14)
 
     def test_three_cell_closed_form(self):
         # cos(2*pi/3) = -1/2 puts both off-peak eigenvalues at 0.8.
-        rate = rate_mcp_finite(LagGains(local=1.0, cross=0.2), 10.0, 3)
+        rate = rate_mcp_finite(LagGains(local=1.0, cross=0.2), 10.0, ring_cosines(3))
         expected = (math.log2(1.0 + 10.0 * 1.96) + 2.0 * math.log2(1.0 + 10.0 * 0.64)) / 3.0
         assert rate == pytest.approx(expected, rel=1e-12)
 
     def test_converges_to_integral(self):
         lag = LagGains(local=1.0, cross=0.2)
         exact = rate_mcp(lag, 10.0)
-        errors = [abs(rate_mcp_finite(lag, 10.0, 2**k) - exact) for k in range(6, 13)]
+        errors = [abs(rate_mcp_finite(lag, 10.0, ring_cosines(2**k)) - exact)
+                  for k in range(6, 13)]
         assert errors[-1] <= 1e-9
         # The spectrum decays so fast the sequence reaches machine noise
         # immediately; allow two ulps so the plateau still counts as shrinking.
         assert all(nxt <= cur + 1e-15 for cur, nxt in zip(errors, errors[1:]))
 
     def test_rejects_small_ring(self):
-        with pytest.raises(ValueError):
-            rate_mcp_finite(LagGains(local=1.0, cross=0.2), 10.0, 2)
+        # The ring's cosines are where its cell count is checked.
+        with pytest.raises(ValueError, match="cell count must be at least 3, got 2"):
+            rate_mcp_finite(LagGains(local=1.0, cross=0.2), 10.0, ring_cosines(2))
 
     def test_trapezoid_circulant_identity(self):
         # The adaptive grid's value at its final N points must reproduce the
         # N-cell ring average bit for bit: same samples, same reduction.
         lag = LagGains(local=1.0, cross=0.2)
 
-        def integrand(f):
-            return np.log1p(10.0 * np.square(channel_response(lag, f))) / math.log(2.0)
+        def integrand(c):
+            return np.log1p(10.0 * np.square(channel_response(lag, c))) / math.log(2.0)
 
         value, points = integrate_periodic_report(integrand)
-        assert value == rate_mcp_finite(lag, 10.0, points)
+        assert value == rate_mcp_finite(lag, 10.0, ring_cosines(points))
 
 
 class TestWaterfill:
@@ -219,7 +227,7 @@ class TestWaterfill:
         level, rate = discrete_waterfill(lag, 100.0)
         assert level == pytest.approx(ORACLE_WATERFILL_LEVEL, rel=1e-9)
         assert rate == pytest.approx(ORACLE_WATERFILL_RATE, rel=1e-9)
-        assert waterfill_finite(lag, 100.0, 2**20) == pytest.approx(
+        assert waterfill_finite(lag, 100.0, ring_cosines(2**20)) == pytest.approx(
             ORACLE_WATERFILL_RATE, rel=1e-9)
         solution = waterfill(lag, 100.0)
         assert solution.rate == pytest.approx(ORACLE_WATERFILL_RATE, abs=1e-6)
@@ -289,14 +297,14 @@ class TestWaterfill:
         for lag, rho in ((LagGains(local=1.0, cross=0.6), 1e8),
                          (LagGains(local=1.0, cross=0.5), 1e15)):
             assert waterfill(lag, rho).rate == pytest.approx(
-                waterfill_finite(lag, rho, 2**21), abs=2e-9), (lag, rho)
+                waterfill_finite(lag, rho, ring_cosines(2**21)), abs=2e-9), (lag, rho)
 
     def test_each_response_sample_computed_once(self, monkeypatch):
-        abscissae, grids = [], []
+        cosines, grids = [], []
 
-        def counting_response(lag, f):
-            abscissae.append(np.array(f, dtype=np.float64, ndmin=1))
-            return channel_response(lag, f)
+        def counting_response(lag, c):
+            cosines.append(np.array(c, dtype=np.float64, ndmin=1))
+            return channel_response(lag, c)
 
         def reporting(integrand, quadrature):
             value, points = integrate_periodic_report(integrand, quadrature)
@@ -308,10 +316,10 @@ class TestWaterfill:
         # A clamped hop: its rate ladder goes well past the first grid.
         waterfill(LagGains(local=0.519594, cross=0.196274), 3.1646085710903087)
         (finest,) = grids
-        sampled = np.concatenate(abscissae)
+        sampled = np.concatenate(cosines)
         assert finest >= 2**16
         assert sampled.size == finest
-        np.testing.assert_array_equal(np.sort(sampled), uniform_grid(finest))
+        assert np.sort(sampled).tobytes() == np.sort(ring_cosines(finest)).tobytes()
 
     def test_dominates_no_waterfilling(self):
         for cross in (0.0, 0.3, 0.6):
@@ -332,7 +340,7 @@ class TestWaterfill:
         for lag, rho in ((lag, 0.0), (LagGains(local=0.0, cross=0.0), 10.0)):
             solution = waterfill(lag, rho)
             assert (solution.rate, solution.spent_power) == (0.0, 0.0)
-            assert waterfill_finite(lag, rho, 64) == 0.0
+            assert waterfill_finite(lag, rho, ring_cosines(64)) == 0.0
 
 
 class TestUpperBound:
