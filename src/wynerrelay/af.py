@@ -173,7 +173,6 @@ def af_rate(config: SystemConfig, gain,
             quadrature: QuadratureConfig = DEFAULT_QUADRATURE) -> float:
     """Per-cell achievable sum-rate of the scheme at the given relay gain."""
     gain = _check_gain(gain, config.mu)
-    # Called through the module, so that a wrapper set on it sees the call.
     rate, _ = numerics.integrate_periodic_report(
         lambda c: _af_samples(config, gain, c), quadrature)
     return rate
@@ -181,10 +180,8 @@ def af_rate(config: SystemConfig, gain,
 
 def af_rate_finite(config: SystemConfig, gain, cosines) -> float:
     """Average of the same per-subchannel rate over an M-cell ring's cosines."""
-    import numpy as np
-
     gain = _check_gain(gain, config.mu)
-    return float(np.mean(_af_samples(config, gain, cosines)))
+    return numerics._grid_average(_af_samples(config, gain, cosines))
 
 
 @dataclass(frozen=True)

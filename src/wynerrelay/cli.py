@@ -8,6 +8,7 @@ configuration problems, 2 when a numerical routine fails to converge.
 
 import argparse
 import functools
+import re
 import sys
 
 _DEFAULT_SCHEMES = ("cf", "af", "upper_bound")
@@ -21,6 +22,8 @@ class _Parser(argparse.ArgumentParser):
     def __init__(self, *args, fill=None, **kwargs):
         kwargs.setdefault("allow_abbrev", False)
         super().__init__(*args, **kwargs)
+        # argparse's own pattern has no exponent, so it would take -1e1 for an option.
+        self._negative_number_matcher = re.compile(r"^-(\d+\.?\d*|\.\d+)([eE][-+]?\d+)?$")
         self._fill = fill
 
     def error(self, message):

@@ -9,9 +9,12 @@ order across the kinks of waterfill's clamp. The grids start at
 min(64, max_points // 2) points and double, so they nest and any ceiling
 compares two. `integrate_periodic_report` is the ladder's one entry point.
 It samples each abscissa once: the first two grids in one call, then each
-doubling's new points; it returns the value and the final grid size. The
-grid of n points is the n-cell ring's modes, so its average is, bit for
-bit, the finite-ring cross-checks' eigenvalue average.
+doubling's new points; it returns the value and the final grid size.
+`wyner` and `af` call it through this module, so a wrapper set here sees
+every ladder. The grid of n points is the n-cell ring's modes, and
+`_grid_average` is the one mean of both, so the ladder's value on n
+points is, bit for bit, the eigenvalue average of the finite-ring
+cross-checks `rate_mcp_finite` and `af_rate_finite` on n cells.
 
 numpy is imported inside the functions that build arrays, here and in
 `wyner` and `af`, so that importing the package, and every command that

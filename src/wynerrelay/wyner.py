@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .model import (LagGains, SystemConfig, QuadratureConfig, DEFAULT_QUADRATURE,
                     _require_finite)
-from .numerics import integrate_periodic_report
+from . import numerics
 
 _LN2 = math.log(2.0)
 
@@ -93,7 +93,7 @@ def rate_mcp_finite(lag: LagGains, rho, cosines) -> float:
 
     rho = _require_finite("SNR", rho, "nonnegative")
     gains = np.square(channel_response(lag, cosines))
-    return float(np.mean(np.log1p(rho * gains) / _LN2))
+    return numerics._grid_average(np.log1p(rho * gains) / _LN2)
 
 
 @dataclass(frozen=True)
@@ -198,16 +198,9 @@ def waterfill(lag: LagGains, rho,
         return WaterfillSolution(level=0.0, rate=0.0, spent_power=0.0)
     level, spent = _water_level(lag, rho)
 
-    def rate_values(cosines):
-        # log2(1 + (level*H^2 - 1)+), in one buffer.
-        gain = np.square(channel_response(lag, cosines))
-        gain *= level
-        gain -= 1.0
-        np.log1p(np.maximum(gain, 0.0, out=gain), out=gain)
-        gain /= _LN2
-        return gain
-
-    rate, _ = integrate_periodic_report(rate_values, quadrature)
+    rate, _ = numerics.integrate_periodic_report(
+        lambda c: np.log1p(np.maximum(level * np.square(channel_response(lag, c)) - 1.0,
+                                      0.0)) / _LN2, quadrature)
     return WaterfillSolution(level=level, rate=rate, spent_power=spent)
 
 

@@ -5,6 +5,8 @@ all-linear form: power_p = 10 and power_q = 100, which are exactly
 10^(10/10) and 10^(20/10).
 """
 
+import functools
+import json
 from pathlib import Path
 
 from wynerrelay import QuadratureConfig, parse_config
@@ -19,6 +21,14 @@ TIGHT = QuadratureConfig(max_points=2**22, rel_tol=1e-12)
 REFERENCE = Path(__file__).parents[1] / "perfbench" / "reference"
 POINT_POOL = REFERENCE / "points.json"
 RATE_POOL = REFERENCE / "rate_points.json"
+
+
+@functools.cache
+def pool_configs(path: Path) -> tuple:
+    """The parsed SystemConfigs of a reference pool, POINT_POOL or RATE_POOL."""
+    return tuple(parse_config(point["config"])
+                 for variants in json.loads(path.read_text())["pool"] for point in variants)
+
 
 # The recorded `figure fig3` CSV, which the CLI and the library must both match.
 FIG3_GOLDEN = Path(__file__).parent / "data" / "fig3_golden.csv"

@@ -1,7 +1,6 @@
 """Amplify-and-forward: relay power curve, gain solve, rate, ring simulator."""
 
 import dataclasses
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,6 @@ from wynerrelay import (
     af_rate,
     figure_spec,
     optimal_gain,
-    parse_config,
     relay_output_power,
     simulate_relay_power,
 )
@@ -22,7 +20,7 @@ from wynerrelay.af import AfGainSolution, _af_samples, _gain_root, af_rate_finit
 from wynerrelay.model import db_to_linear
 from wynerrelay.numerics import ring_cosines
 
-from stock import POINT_POOL, RATE_POOL, stock_config
+from stock import POINT_POOL, RATE_POOL, pool_configs, stock_config
 
 # Dense grid scan of relay_output_power (10^6 points over the stable gain
 # interval) at the reference relay setup, frozen from a scratch run.
@@ -252,14 +250,12 @@ class TestAfRate:
         # At mu = 0 `_af_samples` takes its echo-free branch; with mu as
         # drawn, the two-term ratio that this formula also writes.
         grid = ring_cosines(128)
-        groups = json.loads(pool.read_text())["pool"]
-        for entry in (entry for group in groups for entry in group):
-            cfg = parse_config(entry["config"])
+        for cfg in pool_configs(pool):
             if echo == "mu0":
                 cfg = dataclasses.replace(cfg, mu=0.0)
             gain = optimal_gain(cfg).gain
             expected = self.two_term_samples(cfg, gain, grid)
-            assert _af_samples(cfg, gain, grid).tobytes() == expected.tobytes(), entry
+            assert _af_samples(cfg, gain, grid).tobytes() == expected.tobytes(), cfg
 
     @staticmethod
     def mean_log_modulus(coefficients, value):
@@ -280,9 +276,8 @@ class TestAfRate:
         # At mu = 0 the per-mode rate is log2(N/D) in c = cos(theta), with
         # D = N2 + N1*g^2*H2^2 and N = D + P*g^2*H1^2*H2^2 polynomials in c.
         # The pools' Q >= -10 dB keeps N clear of cancelling against D.
-        groups = json.loads(pool.read_text())["pool"]
-        for entry in (entry for group in groups for entry in group):
-            cfg = dataclasses.replace(parse_config(entry["config"]), mu=0.0)
+        for cfg in pool_configs(pool):
+            cfg = dataclasses.replace(cfg, mu=0.0)
             gain = optimal_gain(cfg).gain
             noise, signal = cfg.noise1 * gain**2, cfg.power_p * gain**2
             h1 = np.array([2.0 * cfg.alpha, cfg.beta])
@@ -301,7 +296,7 @@ class TestAfRate:
             expected = (self.mean_log_modulus(received_coefficients, received)
                         - self.mean_log_modulus(relay_coefficients, relay)) / math.log(2.0)
             rate = af_rate(cfg, gain)
-            assert abs(rate - expected) <= 1e-12 * max(1.0, rate), entry
+            assert abs(rate - expected) <= 1e-12 * max(1.0, rate), cfg
 
     def test_each_sample_computed_once(self, monkeypatch):
         cosines, grids = [], []

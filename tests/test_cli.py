@@ -415,6 +415,24 @@ class TestConfigHandling:
         assert captured.err.startswith("wynerrelay: error: ")
         assert named in captured.err
 
+    def test_negative_values_in_exponent_notation(self, capfdbinary):
+        # Each argv must write the bytes of its plain-decimal twin.
+        sweep = ["sweep", "--axis", "rho1_db", "--points", "3", "--schemes", "cf"]
+        for argv, plain in (
+                (["rate", "--P-dB", "-1e1"], ["rate", "--P-dB", "-10"]),
+                (["rate", "--Q-dB", "-1.5e+1"], ["rate", "--Q-dB", "-15"]),
+                (["rate", "--P-dB", "-.5e1", "--Q-dB", "-1."],
+                 ["rate", "--P-dB", "-5", "--Q-dB", "-1"]),
+                ([*sweep, "--start", "-1e1", "--stop", "1e1"],
+                 [*sweep, "--start", "-10", "--stop", "10"])):
+            assert main(argv) == 0
+            written = capfdbinary.readouterr().out
+            assert main(plain) == 0
+            assert written == capfdbinary.readouterr().out, argv
+        # A word after a dB flag is still an option, not its value.
+        assert main(["rate", "--P-dB", "-x"]) == 1
+        assert b"argument --P-dB: expected one argument" in capfdbinary.readouterr().err
+
     @pytest.mark.parametrize("axis", ["power_p", "rho1_db"])
     def test_overflowing_span_is_named(self, axis, capfd):
         assert main(["sweep", "--axis", axis, "--start=-1.7e308", "--stop=1.7e308",

@@ -1,18 +1,17 @@
 """Property tests over the configuration space that validation accepts."""
 
-import json
 import math
 from dataclasses import replace
 
 import pytest
 
 from wynerrelay import (LagGains, SystemConfig, cf_solve, figure_spec, optimal_gain,
-                        parse_config, rate_mcp, run_point, waterfill)
+                        rate_mcp, run_point, waterfill)
 from wynerrelay.model import DEFAULT_QUADRATURE, db_to_linear
 from wynerrelay.sweep import SCHEME_ORDER
 from wynerrelay.wyner import _water_level
 
-from stock import POINT_POOL, RATE_POOL, SCALINGS
+from stock import POINT_POOL, RATE_POOL, SCALINGS, pool_configs
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -91,8 +90,7 @@ def test_water_level_spends_budget_on_second_hops_with_nulls(gamma, eta_share, q
 
 
 # Both benchmark pools' configs and the preset points.
-POOLED_CONFIGS = [parse_config(point["config"]) for pool in (POINT_POOL, RATE_POOL)
-                  for variants in json.loads(pool.read_text())["pool"] for point in variants]
+POOLED_CONFIGS = [*pool_configs(POINT_POOL), *pool_configs(RATE_POOL)]
 POOLED_CONFIGS += [config for name in ("fig3", "fig4", "fig5")
                    for config in figure_spec(name).configs]
 

@@ -17,14 +17,13 @@ from wynerrelay import (
     emit,
     figure_spec,
     optimal_gain,
-    parse_config,
     run_point,
     run_sweep,
 )
 from wynerrelay.model import db_to_linear
 from wynerrelay.sweep import SCHEME_ORDER, canonical_schemes
 
-from stock import FIG3_GOLDEN, RATE_POOL, SCALINGS, stock_config
+from stock import FIG3_GOLDEN, RATE_POOL, SCALINGS, pool_configs, stock_config
 
 
 def small_spec(**overrides):
@@ -189,13 +188,10 @@ class TestRunPoint:
     def test_bound_power_residual_on_rate_pool(self):
         # The waterfilled second hop spends its budget to within two units
         # in the last place of max(1, rho2) over the benchmark's rate pool.
-        pool = json.loads(RATE_POOL.read_text())["pool"]
-        for variants in pool:
-            for point in variants:
-                config = parse_config(point["config"])
-                notes = run_point(config, ("upper_bound",), diagnostics=True)
-                residual = notes["upper_bound_power_residual"]
-                assert abs(residual) <= 2.0 * 2.0**-52 * max(1.0, config.rho2), point
+        for config in pool_configs(RATE_POOL):
+            notes = run_point(config, ("upper_bound",), diagnostics=True)
+            residual = notes["upper_bound_power_residual"]
+            assert abs(residual) <= 2.0 * 2.0**-52 * max(1.0, config.rho2), config
 
     def test_bound_power_residual_without_a_solve(self):
         assert run_point(stock_config(power_q=0.0), ("upper_bound",),
@@ -359,8 +355,7 @@ class TestSweepReuse:
 def unscaled_rates():
     """Every 16th config of the rate pool and the preset points, each with
     the hex of its rates."""
-    pool = [parse_config(point["config"])
-            for variants in json.loads(RATE_POOL.read_text())["pool"] for point in variants]
+    pool = list(pool_configs(RATE_POOL))
     presets = [config for name in ("fig3", "fig4", "fig5") for config in figure_spec(name).configs]
     return [(config, hex_rates(config)) for config in pool[::16] + presets]
 

@@ -5,16 +5,20 @@ import math
 import numpy as np
 import pytest
 
+import wynerrelay.numerics
 import wynerrelay.wyner
 from wynerrelay import (
     LagGains,
+    af_rate,
     cf_solve,
+    optimal_gain,
     rate_mcp,
     rate_mcp_finite,
     upper_bound,
     waterfill,
     waterfill_finite,
 )
+from wynerrelay.af import _af_samples, af_rate_finite
 from wynerrelay.numerics import integrate_periodic_report, ring_cosines
 from wynerrelay.wyner import channel_response
 
@@ -82,10 +86,6 @@ class TestRateMcp:
         rates = [rate_mcp(lag, rho) for rho in (0.0, 1.0, 10.0, 100.0, 1000.0)]
         assert all(lo < hi for lo, hi in zip(rates, rates[1:]))
 
-    def test_rejects_negative_snr(self):
-        with pytest.raises(ValueError):
-            rate_mcp(LagGains(local=1.0, cross=0.2), -1.0)
-
     def test_sign_flip_symmetry(self):
         # The rate only consumes H^2, so negating the local gain before
         # squaring must leave the integral unchanged.
@@ -134,7 +134,7 @@ class TestRateMcp:
         def refuse(*args, **kwargs):
             raise AssertionError("the CF path must not integrate numerically")
 
-        monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic_report", refuse)
+        monkeypatch.setattr(wynerrelay.numerics, "integrate_periodic_report", refuse)
         assert cf_solve(stock_config()).rate > 0.0
 
 
@@ -181,21 +181,24 @@ class TestRateMcpFinite:
         # immediately; allow two ulps so the plateau still counts as shrinking.
         assert all(nxt <= cur + 1e-15 for cur, nxt in zip(errors, errors[1:]))
 
-    def test_rejects_small_ring(self):
-        # The ring's cosines are where its cell count is checked.
-        with pytest.raises(ValueError, match="cell count must be at least 3, got 2"):
-            rate_mcp_finite(LagGains(local=1.0, cross=0.2), 10.0, ring_cosines(2))
-
-    def test_trapezoid_circulant_identity(self):
+    @pytest.mark.parametrize("scheme", ["rate_mcp", "af"])
+    def test_trapezoid_circulant_identity(self, scheme):
         # The adaptive grid's value at its final N points must reproduce the
-        # N-cell ring average bit for bit: same samples, same reduction.
-        lag = LagGains(local=1.0, cross=0.2)
-
-        def integrand(c):
-            return np.log1p(10.0 * np.square(channel_response(lag, c))) / math.log(2.0)
-
+        # N-cell ring average bit for bit: same samples, same reduction. For
+        # AF the ladder's value is af_rate's own, at the stock solved gain.
+        lag, config = LagGains(local=1.0, cross=0.2), stock_config()
+        gain = optimal_gain(config).gain
+        integrand, finite = {
+            "rate_mcp": (
+                lambda c: np.log1p(10.0 * np.square(channel_response(lag, c))) / math.log(2.0),
+                lambda cosines: rate_mcp_finite(lag, 10.0, cosines)),
+            "af": (lambda c: _af_samples(config, gain, c),
+                   lambda cosines: af_rate_finite(config, gain, cosines)),
+        }[scheme]
         value, points = integrate_periodic_report(integrand)
-        assert value == rate_mcp_finite(lag, 10.0, ring_cosines(points))
+        assert value == finite(ring_cosines(points))
+        if scheme == "af":
+            assert af_rate(config, gain) == value
 
 
 class TestWaterfill:
@@ -312,7 +315,7 @@ class TestWaterfill:
             return value, points
 
         monkeypatch.setattr(wynerrelay.wyner, "channel_response", counting_response)
-        monkeypatch.setattr(wynerrelay.wyner, "integrate_periodic_report", reporting)
+        monkeypatch.setattr(wynerrelay.numerics, "integrate_periodic_report", reporting)
         # A clamped hop: its rate ladder goes well past the first grid.
         waterfill(LagGains(local=0.519594, cross=0.196274), 3.1646085710903087)
         (finest,) = grids
@@ -332,12 +335,10 @@ class TestWaterfill:
         assert rates[0] < rates[1] < rates[2]
 
     def test_rejects_bad_inputs(self):
-        lag = LagGains(local=1.0, cross=0.2)
-        for rho in (-1.0, math.nan):
-            with pytest.raises(ValueError):
-                waterfill(lag, rho)
-        # A dead hop, silent or with no response, is a limit, not an error.
-        for lag, rho in ((lag, 0.0), (LagGains(local=0.0, cross=0.0), 10.0)):
+        # A dead hop, silent or with no response, is a limit, not an error;
+        # the refusals of -1 and nan are rows of test_model.py's REFUSALS.
+        for lag, rho in ((LagGains(local=1.0, cross=0.2), 0.0),
+                         (LagGains(local=0.0, cross=0.0), 10.0)):
             solution = waterfill(lag, rho)
             assert (solution.rate, solution.spent_power) == (0.0, 0.0)
             assert waterfill_finite(lag, rho, ring_cosines(64)) == 0.0
